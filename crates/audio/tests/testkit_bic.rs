@@ -1,12 +1,15 @@
-//! BIC speaker-change laws and randomized coverage, driven by medvid-testkit.
+//! BIC speaker-change laws and randomized coverage, plus the clip
+//! segmentation and clip-feature laws, driven by medvid-testkit.
 //!
 //! Failures print a one-line reproduction; replay with
 //! `MEDVID_TESTKIT_SEED=<seed> MEDVID_TESTKIT_CASES=<case + 1>`.
 
-use medvid_audio::bic::{bic_on_waveforms, bic_speaker_change, BicConfig, BicError};
+use medvid_audio::bic::{bic_on_waveforms, bic_speaker_change, voiced_frames, BicConfig, BicError};
+use medvid_audio::clips::segment_clips;
+use medvid_audio::features::{clip_features, CLIP_FEATURE_DIMS};
 use medvid_signal::mel::MfccExtractor;
 use medvid_synth::voice::{synth_speech, voice_for_speaker};
-use medvid_testkit::{forall, require, Config, TkRng};
+use medvid_testkit::{forall, forall_with, require, Config, TkRng, CASES_ENV};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -33,6 +36,16 @@ fn frames(rng: &mut TkRng, len: usize, p: usize) -> Vec<Vec<f64>> {
 /// such out-of-domain candidates.
 fn rectangular(x: &[Vec<f64>], p: usize) -> bool {
     x.iter().all(|f| f.len() == p)
+}
+
+/// The environment's configuration, running `cases` cases unless
+/// `MEDVID_TESTKIT_CASES` overrides the count.
+fn config(cases: usize) -> Config {
+    let mut cfg = Config::from_env();
+    if std::env::var_os(CASES_ENV).is_none() {
+        cfg.cases = cases;
+    }
+    cfg
 }
 
 #[test]
@@ -202,5 +215,113 @@ fn speaker_change_detection_across_randomized_fundamentals() {
         false_alarms,
         misses.len(),
         misses
+    );
+}
+
+#[test]
+fn clips_partition_their_span() {
+    forall_with(
+        &config(64),
+        "2-second clips tile [start, end) contiguously",
+        |rng| {
+            (
+                rng.usize_in(0, 99_999),
+                rng.usize_in(0, 199_999),
+                rng.u64_in(4000, 47_999) as u32,
+            )
+        },
+        |&(start, len, sr)| {
+            if sr < 4000 {
+                return Ok(()); // a shrunk candidate left the domain
+            }
+            let clips = segment_clips(start, start + len, sr);
+            let clip_len = (2.0 * sr as f64) as usize;
+            if len < clip_len {
+                require!(clips.is_empty(), "{} clips from a short span", clips.len());
+                return Ok(());
+            }
+            let (first, last) = match (clips.first(), clips.last()) {
+                (Some(f), Some(l)) => (f, l),
+                _ => return Err(format!("no clips from a span of {len} samples")),
+            };
+            require!(first.start == start, "first clip starts at {}", first.start);
+            require!(last.end == start + len, "last clip ends at {}", last.end);
+            for w in clips.windows(2) {
+                require!(
+                    w[0].end == w[1].start,
+                    "gap between {:?} and {:?}",
+                    w[0],
+                    w[1]
+                );
+            }
+            for c in &clips {
+                require!(
+                    (clip_len..2 * clip_len).contains(&c.len()),
+                    "clip {c:?} length {} outside [{clip_len}, {})",
+                    c.len(),
+                    2 * clip_len
+                );
+            }
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn clip_features_always_14_finite_dims() {
+    forall_with(
+        &config(64),
+        "clip_features yields 14 finite dimensions",
+        |rng| {
+            let len = rng.usize_in(240, 3999);
+            (0..len)
+                .map(|_| rng.f32_in(-1.0, 1.0))
+                .collect::<Vec<f32>>()
+        },
+        |samples| {
+            if let Some(f) = clip_features(samples, 8000) {
+                require!(f.len() == CLIP_FEATURE_DIMS, "{} dims", f.len());
+                require!(
+                    f.iter().all(|v| v.is_finite()),
+                    "non-finite feature in {f:?}"
+                );
+            }
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn voiced_frames_is_subset_preserving_dims() {
+    forall_with(
+        &config(64),
+        "voiced_frames keeps a non-empty subset of the input frames",
+        |rng| {
+            let len = rng.usize_in(0, 59);
+            (0..len)
+                .map(|_| (0..14).map(|_| rng.f64_in(-10.0, 10.0)).collect())
+                .collect::<Vec<Vec<f64>>>()
+        },
+        |frames| {
+            if !rectangular(frames, 14) {
+                return Ok(()); // a shrunk candidate left the domain
+            }
+            let kept = voiced_frames(frames);
+            require!(
+                kept.len() <= frames.len(),
+                "{} kept of {}",
+                kept.len(),
+                frames.len()
+            );
+            for f in &kept {
+                require!(f.len() == 14, "kept frame has {} dims", f.len());
+                require!(frames.contains(f), "kept frame {f:?} is not an input frame");
+            }
+            require!(
+                frames.is_empty() || !kept.is_empty(),
+                "filter must keep something"
+            );
+            Ok(())
+        },
     );
 }

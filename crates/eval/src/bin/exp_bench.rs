@@ -6,14 +6,12 @@
 //! milliseconds (from the telemetry spans) and speedup over the sequential
 //! run — and asserting that every run produced bit-identical structures.
 //!
-//! Also measures ingest durability: single-shot WAL appends per second
-//! under each fsync policy (`always`, `every 8`, `never`), quantifying
-//! what the crash-safety guarantee costs at the storage layer — and the
-//! scatter-gather serving tier: query throughput at shard counts 1, 2
-//! and 4 with the corpus hash-partitioned, plus the coordinator's
-//! overhead over a direct single-node client (fan-out, merge and the
-//! extra hop, isolated by comparing a one-shard cluster to the same
-//! records behind a plain `Client`).
+//! Also races incremental ingest against copy-rebuild-swap, times the
+//! quantized distance kernel against the scalar f32 scan (with the
+//! Eq. 24–25 planner's estimate-vs-actual ledger), and clocks the cluster
+//! control plane's failover and shard split. Serving latency, the
+//! scatter-gather tier and durable ingest are measured from the client's
+//! side by the `perfbench` harness.
 //!
 //! Writes two artefacts: the standard experiment envelope under
 //! `target/experiments/bench_pipeline.json`, and the benchmark-trajectory
@@ -21,12 +19,10 @@
 //! the corpus and the thread set so the tier-1 gate can run it in seconds.
 
 use medvid::{ClassMiner, ClassMinerConfig, MinedVideo};
-use medvid_cluster::{shard_of, ClusterTopology, Coordinator, CoordinatorConfig};
+use medvid_cluster::{ClusterTopology, Coordinator, CoordinatorConfig};
 use medvid_eval::report::{f3, print_table, write_report};
-use medvid_index::persist::DatabaseSnapshot;
-use medvid_index::{ShotRecord, VideoDatabase};
+use medvid_index::VideoDatabase;
 use medvid_obs::{CorpusReport, Recorder, Stage};
-use medvid_store::{FsyncPolicy, Store, StoreConfig, StoredShot, WalOp};
 use medvid_synth::{standard_corpus, CorpusScale};
 use medvid_types::{EventKind, ShotId, VideoId};
 use serde::Serialize;
@@ -45,15 +41,6 @@ struct ThreadRun {
     frames_per_sec: f64,
     speedup_vs_1: f64,
     stage_ms: Vec<StageMs>,
-}
-
-#[derive(Serialize)]
-struct DurabilityRun {
-    fsync: String,
-    appends: usize,
-    wall_secs: f64,
-    appends_per_sec: f64,
-    wal_bytes: u64,
 }
 
 /// One corpus size of the incremental-ingest ladder: the same shot
@@ -75,22 +62,6 @@ struct IngestIncrementalRun {
     /// fitted hierarchy — the deferred cost incremental ingest leaves to
     /// the background job.
     compaction_ms: f64,
-}
-
-/// The serving layer observed through its own live metrics: a query burst
-/// against a spawned server, summarised by the `medvid-obs/v2` snapshot the
-/// Metrics verb returns (so the benchmark tracks what operators will see,
-/// not just client-side stopwatch numbers).
-#[derive(Serialize)]
-struct ServeLiveRun {
-    queries: usize,
-    window_qps: f64,
-    window_p50_ms: f64,
-    window_p99_ms: f64,
-    window_cache_hit_rate: f64,
-    /// Round-trip latency of the Metrics verb itself, milliseconds — the
-    /// observability tax a dashboard poll puts on a serving node.
-    metrics_roundtrip_ms: f64,
 }
 
 /// One `k` of the Eq. 24–25 planner ladder: the verdict, its predicted
@@ -119,29 +90,6 @@ struct KernelBench {
     /// the mined database — zero would mean the scan fell back to scalar.
     quantized_comparisons: u64,
     planner: Vec<PlannerProbe>,
-}
-
-/// One shard count of the scatter-gather ladder.
-#[derive(Serialize)]
-struct ClusterGatherRun {
-    shards: u32,
-    queries: usize,
-    qps: f64,
-    p50_ms: f64,
-    p99_ms: f64,
-}
-
-/// The serving tier scattered across shards, against a direct
-/// single-node baseline over the identical records and query stream.
-#[derive(Serialize)]
-struct ClusterBench {
-    direct_qps: f64,
-    direct_p50_ms: f64,
-    /// Coordinator p50 over ONE shard minus the direct p50 — the price of
-    /// the fan-out/merge hop itself, with sharding's parallelism factored
-    /// out.
-    coordinator_overhead_p50_ms: f64,
-    runs: Vec<ClusterGatherRun>,
 }
 
 /// The control plane's two headline costs: how long a shard is
@@ -174,138 +122,9 @@ struct BenchReport {
     corpus_frames: usize,
     deterministic_across_threads: bool,
     runs: Vec<ThreadRun>,
-    durability: Vec<DurabilityRun>,
     ingest_incremental: Vec<IngestIncrementalRun>,
-    serve_live: ServeLiveRun,
-    cluster: ClusterBench,
     control_plane: ControlPlaneBench,
     kernel: KernelBench,
-}
-
-/// Sorted-latency quantile, milliseconds.
-fn quantile_ms(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    sorted[((sorted.len() - 1) as f64 * q).round() as usize]
-}
-
-/// Restores a database holding exactly `records` under the mined
-/// corpus's hierarchy, config and policy.
-fn db_of(template: &DatabaseSnapshot, records: Vec<ShotRecord>) -> VideoDatabase {
-    VideoDatabase::from_snapshot(DatabaseSnapshot {
-        version: template.version,
-        hierarchy: template.hierarchy.clone(),
-        config: template.config,
-        policy: template.policy.clone(),
-        records,
-    })
-    .expect("records come from a valid database")
-}
-
-/// Measures the scatter-gather tier: the same flat query stream against
-/// (a) one node behind a plain client and (b) coordinators over 1, 2 and
-/// 4 hash-partitioned shards.
-fn cluster_gather_bench(template: &DatabaseSnapshot, queries: usize) -> ClusterBench {
-    use medvid_serve::{Client, QueryRequest, Response, ServerConfig, WireStrategy};
-    let probes: Vec<Vec<f32>> = template
-        .records
-        .iter()
-        .step_by(5)
-        .take(8)
-        .map(|r| r.features.clone())
-        .collect();
-    let request_at = |i: usize| QueryRequest {
-        vector: Some(probes[i % probes.len()].clone()),
-        limit: Some(5),
-        strategy: Some(WireStrategy::Flat),
-        ..QueryRequest::default()
-    };
-
-    // Direct baseline: every record on one node, one connection per
-    // request — the same connection discipline the coordinator applies
-    // per shard, so the difference isolates fan-out and merge rather
-    // than connection reuse.
-    let handle = medvid_serve::spawn(
-        db_of(template, template.records.clone()),
-        ServerConfig::default(),
-        Recorder::disabled(),
-    )
-    .expect("bind baseline server");
-    let mut direct: Vec<f64> = Vec::with_capacity(queries);
-    let started = Instant::now();
-    for i in 0..queries {
-        let t0 = Instant::now();
-        let mut client =
-            Client::connect(handle.addr(), std::time::Duration::from_secs(30)).expect("connect");
-        let response = client.query(request_at(i)).expect("baseline query");
-        assert!(matches!(response, Response::Results { .. }));
-        direct.push(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    let direct_wall = started.elapsed().as_secs_f64();
-    handle.shutdown();
-    handle.join();
-    direct.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let direct_p50 = quantile_ms(&direct, 0.50);
-
-    let mut runs = Vec::new();
-    let mut one_shard_p50 = 0.0;
-    for shards in [1u32, 2, 4] {
-        let mut parts: Vec<Vec<ShotRecord>> = vec![Vec::new(); shards as usize];
-        for r in &template.records {
-            parts[shard_of(r.shot.video, shards) as usize].push(r.clone());
-        }
-        let handles: Vec<_> = parts
-            .into_iter()
-            .enumerate()
-            .map(|(i, part)| {
-                medvid_serve::spawn(
-                    db_of(template, part),
-                    ServerConfig {
-                        shard: Some(i as u32),
-                        ..ServerConfig::default()
-                    },
-                    Recorder::disabled(),
-                )
-                .expect("bind shard server")
-            })
-            .collect();
-        let topology =
-            ClusterTopology::of_primaries(&handles.iter().map(|h| h.addr()).collect::<Vec<_>>());
-        let coordinator =
-            Coordinator::new(topology, CoordinatorConfig::default(), Recorder::disabled());
-        let mut latencies: Vec<f64> = Vec::with_capacity(queries);
-        let started = Instant::now();
-        for i in 0..queries {
-            let t0 = Instant::now();
-            let outcome = coordinator.query(&request_at(i)).expect("gathered query");
-            assert!(outcome.status.is_complete(), "no shard ever went away");
-            latencies.push(t0.elapsed().as_secs_f64() * 1e3);
-        }
-        let wall = started.elapsed().as_secs_f64();
-        for h in handles {
-            h.shutdown();
-            h.join();
-        }
-        latencies.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let p50 = quantile_ms(&latencies, 0.50);
-        if shards == 1 {
-            one_shard_p50 = p50;
-        }
-        runs.push(ClusterGatherRun {
-            shards,
-            queries,
-            qps: queries as f64 / wall.max(1e-9),
-            p50_ms: p50,
-            p99_ms: quantile_ms(&latencies, 0.99),
-        });
-    }
-    ClusterBench {
-        direct_qps: queries as f64 / direct_wall.max(1e-9),
-        direct_p50_ms: direct_p50,
-        coordinator_overhead_p50_ms: one_shard_p50 - direct_p50,
-        runs,
-    }
 }
 
 /// Times the cluster control plane on a live durable cluster: an
@@ -583,51 +402,6 @@ fn kernel_bench(db: &VideoDatabase, smoke: bool) -> KernelBench {
     }
 }
 
-/// Spawns a server over `db`, drives `queries` cache-mixed lookups through
-/// one client, and reads the rolling-window snapshot back via the Metrics
-/// verb.
-fn serve_live_metrics(db: VideoDatabase, queries: usize) -> ServeLiveRun {
-    use medvid_serve::{Client, QueryRequest, Response, ServerConfig};
-    let probes: Vec<Vec<f32>> = db
-        .records_iter()
-        .step_by(5)
-        .take(8)
-        .map(|r| r.features.clone())
-        .collect();
-    let handle = medvid_serve::spawn(db, ServerConfig::default(), Recorder::disabled())
-        .expect("bind loopback server");
-    let mut client =
-        Client::connect(handle.addr(), std::time::Duration::from_secs(30)).expect("connect");
-    for i in 0..queries {
-        // Cycling a small probe pool repeats queries, so the window sees
-        // both index executions and cache hits.
-        let response = client
-            .query(QueryRequest {
-                vector: Some(probes[i % probes.len()].clone()),
-                limit: Some(5),
-                ..QueryRequest::default()
-            })
-            .expect("query");
-        assert!(matches!(response, Response::Results { .. }));
-    }
-    let poll_start = Instant::now();
-    let snapshot = match client.metrics().expect("metrics round-trip") {
-        Response::Metrics { snapshot } => snapshot,
-        other => panic!("expected a metrics snapshot, got {other:?}"),
-    };
-    let roundtrip = poll_start.elapsed().as_secs_f64() * 1e3;
-    handle.shutdown();
-    handle.join();
-    ServeLiveRun {
-        queries,
-        window_qps: snapshot.window.qps,
-        window_p50_ms: snapshot.window.p50_ms,
-        window_p99_ms: snapshot.window.p99_ms,
-        window_cache_hit_rate: snapshot.window.cache_hit_rate,
-        metrics_roundtrip_ms: roundtrip,
-    }
-}
-
 /// Races the two ingest disciplines over identical shot streams, at
 /// corpus sizes 1k/10k/100k (just 1k under `--smoke`), split into the
 /// same batch sequence:
@@ -725,56 +499,6 @@ fn ingest_incremental_bench(smoke: bool) -> Vec<IngestIncrementalRun> {
             }
         })
         .collect()
-}
-
-/// Times `appends` single-shot group commits under one fsync policy,
-/// against a scratch store that is removed afterwards.
-fn ingest_durability_at(policy: FsyncPolicy, appends: usize) -> DurabilityRun {
-    let dir = std::env::temp_dir().join(format!(
-        "medvid-bench-durab-{}-{policy}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    let recovered = Store::open(
-        &dir,
-        StoreConfig {
-            fsync: policy,
-            // Keep checkpoints out of the measurement window.
-            checkpoint_wal_bytes: u64::MAX,
-            checkpoint_wal_records: u64::MAX,
-        },
-        VideoDatabase::medical(),
-        Recorder::disabled(),
-    )
-    .expect("open scratch store");
-    let mut store = recovered.store;
-    let scene = recovered.db.hierarchy().scene_nodes()[0];
-    let features = vec![0.25f32; 266];
-    let start = Instant::now();
-    for i in 0..appends {
-        let op = WalOp::IngestShot {
-            shot: StoredShot {
-                video: VideoId(i / 64),
-                shot: ShotId(i),
-                features: features.clone(),
-                event: EventKind::ClinicalOperation,
-                scene_node: scene,
-            },
-        };
-        store.append(&[op]).expect("append");
-    }
-    store.sync().expect("final sync");
-    let wall = start.elapsed().as_secs_f64();
-    let wal_bytes = store.status().wal_bytes;
-    drop(store);
-    let _ = std::fs::remove_dir_all(&dir);
-    DurabilityRun {
-        fsync: policy.to_string(),
-        appends,
-        wall_secs: wall,
-        appends_per_sec: appends as f64 / wall.max(1e-9),
-        wal_bytes,
-    }
 }
 
 /// Mines the whole corpus under one thread budget, returning the mined
@@ -887,35 +611,6 @@ fn main() {
         &table,
     );
 
-    // Ingest durability: the cost of the WAL's crash-safety guarantee at
-    // each fsync policy, single-shot appends (the serve ingest hot path).
-    let append_count = if smoke { 200 } else { 2_000 };
-    let durability: Vec<DurabilityRun> = [
-        FsyncPolicy::Always,
-        FsyncPolicy::EveryN(8),
-        FsyncPolicy::Never,
-    ]
-    .into_iter()
-    .map(|p| ingest_durability_at(p, append_count))
-    .collect();
-    let durab_table: Vec<Vec<String>> = durability
-        .iter()
-        .map(|r| {
-            vec![
-                r.fsync.clone(),
-                r.appends.to_string(),
-                f3(r.wall_secs),
-                f3(r.appends_per_sec),
-                r.wal_bytes.to_string(),
-            ]
-        })
-        .collect();
-    print_table(
-        "E-BENCH — ingest durability vs fsync policy",
-        &["fsync", "appends", "wall s", "appends/s", "wal bytes"],
-        &durab_table,
-    );
-
     // Incremental ingest vs the copy-rebuild-swap discipline it replaced,
     // plus the deferred compaction cost, at each corpus size.
     let ingest_incremental = ingest_incremental_bench(smoke);
@@ -948,13 +643,9 @@ fn main() {
         largest.rebuild_wall_secs
     );
 
-    // Serving-layer observability: index the corpus once, burst queries at
-    // a spawned server, and snapshot its rolling window over the wire.
-    let (db, _) = miner.index_corpus(&corpus);
-    let template = db.snapshot();
-
     // The distance kernels head to head, plus planner verdicts against the
-    // mined database (before the server takes ownership of it).
+    // mined database.
+    let (db, _) = miner.index_corpus(&corpus);
     let kernel = kernel_bench(&db, smoke);
     print_table(
         "E-BENCH — distance kernel: quantized integer vs scalar f32",
@@ -983,47 +674,6 @@ fn main() {
         "E-BENCH — Eq. 24–25 planner: estimate vs actual comparisons",
         &["top-k", "choice", "estimated", "actual"],
         &planner_table,
-    );
-
-    let serve_live = serve_live_metrics(db, if smoke { 40 } else { 400 });
-    print_table(
-        "E-BENCH — serve live metrics (medvid-obs/v2 window)",
-        &["queries", "qps", "p50 ms", "p99 ms", "cache hit", "poll ms"],
-        &[vec![
-            serve_live.queries.to_string(),
-            f3(serve_live.window_qps),
-            f3(serve_live.window_p50_ms),
-            f3(serve_live.window_p99_ms),
-            f3(serve_live.window_cache_hit_rate),
-            f3(serve_live.metrics_roundtrip_ms),
-        ]],
-    );
-
-    // The scatter-gather tier: direct single-node baseline, then the
-    // same query stream through coordinators at shard counts 1, 2, 4.
-    let cluster = cluster_gather_bench(&template, if smoke { 60 } else { 300 });
-    let mut cluster_table: Vec<Vec<String>> = vec![vec![
-        "direct".to_string(),
-        f3(cluster.direct_qps),
-        f3(cluster.direct_p50_ms),
-        String::from("-"),
-    ]];
-    cluster_table.extend(cluster.runs.iter().map(|r| {
-        vec![
-            format!("{} shard(s)", r.shards),
-            f3(r.qps),
-            f3(r.p50_ms),
-            f3(r.p99_ms),
-        ]
-    }));
-    print_table(
-        "E-BENCH — scatter-gather qps vs shard count",
-        &["tier", "qps", "p50 ms", "p99 ms"],
-        &cluster_table,
-    );
-    println!(
-        "coordinator overhead (1-shard cluster p50 minus direct p50): {} ms",
-        f3(cluster.coordinator_overhead_p50_ms)
     );
 
     // The control plane on a live durable cluster: how long a shard is
@@ -1055,10 +705,7 @@ fn main() {
         corpus_frames,
         deterministic_across_threads: deterministic,
         runs,
-        durability,
         ingest_incremental,
-        serve_live,
-        cluster,
         control_plane,
         kernel,
     };

@@ -3,13 +3,28 @@
 //! Failures print a one-line reproduction; replay with
 //! `MEDVID_TESTKIT_SEED=<seed> MEDVID_TESTKIT_CASES=<case + 1>`.
 
+use medvid_signal::dct::{dct2, dct3};
 use medvid_signal::entropy_threshold;
 use medvid_signal::fft::{
     fft_in_place, fft_real, ifft, next_pow2, power_spectrum, Complex, FftPlan,
 };
+use medvid_signal::kmeans::kmeans;
+use medvid_signal::matrix::Matrix;
 use medvid_signal::mel::MelFilterbank;
 use medvid_signal::window::{apply_window, apply_window_into, hamming, hann};
-use medvid_testkit::{forall, require, TkRng};
+use medvid_testkit::{forall, forall_with, require, Config, TkRng, CASES_ENV};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// The environment's configuration, running `cases` cases unless
+/// `MEDVID_TESTKIT_CASES` overrides the count.
+fn config(cases: usize) -> Config {
+    let mut cfg = Config::from_env();
+    if std::env::var_os(CASES_ENV).is_none() {
+        cfg.cases = cases;
+    }
+    cfg
+}
 
 fn signal_f64(rng: &mut TkRng, len: usize) -> Vec<f64> {
     (0..len).map(|_| rng.f64_in(-1.0, 1.0)).collect()
@@ -306,6 +321,148 @@ fn entropy_threshold_lies_within_data_range() {
                 (min..=max).contains(&t),
                 "threshold {t} outside data range [{min}, {max}]"
             );
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn fft_ifft_recovers_signal() {
+    forall_with(
+        &config(64),
+        "ifft(fft_real(x)) == x on the unpadded samples",
+        |rng| {
+            let len = rng.usize_in(1, 199);
+            signal_f64(rng, len)
+        },
+        |sig| {
+            let back = ifft(&fft_real(sig));
+            for (t, (orig, rec)) in sig.iter().zip(&back).enumerate() {
+                require!(
+                    (orig - rec.re).abs() < 1e-8,
+                    "sample {t}: {orig} -> {rec:?}"
+                );
+            }
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn entropy_threshold_within_range() {
+    forall_with(
+        &config(64),
+        "entropy_threshold of non-negative values in [min, max]",
+        |rng| {
+            let len = rng.usize_in(1, 299);
+            (0..len)
+                .map(|_| rng.f64_in(0.0, 100.0) as f32)
+                .collect::<Vec<f32>>()
+        },
+        |values| {
+            if values.is_empty() {
+                return Ok(()); // a shrunk candidate left the domain
+            }
+            let t = entropy_threshold(values);
+            let min = values.iter().copied().fold(f32::INFINITY, f32::min);
+            let max = values.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            require!(
+                t >= min - 1e-6 && t <= max + 1e-6,
+                "t={t} outside [{min},{max}]"
+            );
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn dct_roundtrip() {
+    forall_with(
+        &config(64),
+        "dct3(dct2(x)) == x",
+        |rng| {
+            let len = rng.usize_in(1, 99);
+            (0..len)
+                .map(|_| rng.f64_in(-10.0, 10.0))
+                .collect::<Vec<f64>>()
+        },
+        |sig| {
+            let back = dct3(&dct2(sig));
+            require!(
+                back.len() == sig.len(),
+                "length {} -> {}",
+                sig.len(),
+                back.len()
+            );
+            for (t, (a, b)) in sig.iter().zip(&back).enumerate() {
+                require!((a - b).abs() < 1e-8, "sample {t}: {a} -> {b}");
+            }
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn kmeans_assignments_are_valid() {
+    forall_with(
+        &config(64),
+        "kmeans assigns every point to one of k clusters",
+        |rng| {
+            let n = rng.usize_in(2, 39);
+            let k = rng.usize_in(1, n.min(4));
+            (n, k, rng.u64_in(0, 99))
+        },
+        |&(n, k, seed)| {
+            if k == 0 || k > n {
+                return Ok(()); // a shrunk candidate left the domain
+            }
+            let points: Vec<Vec<f64>> = (0..n)
+                .map(|i| vec![(i % 7) as f64, (i % 3) as f64])
+                .collect();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let Some(km) = kmeans(&points, k, 20, &mut rng) else {
+                return Err(format!("kmeans gave up on n={n}, k={k}"));
+            };
+            require!(
+                km.assignments.len() == n,
+                "{} assignments for {n} points",
+                km.assignments.len()
+            );
+            require!(
+                km.assignments.iter().all(|&a| a < k),
+                "assignment out of range: {:?}",
+                km.assignments
+            );
+            require!(km.inertia >= 0.0, "negative inertia {}", km.inertia);
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn spd_logdet_matches_cholesky() {
+    forall_with(
+        &config(64),
+        "log_det_spd of a 2x2 SPD matrix == ln(d0 d1 - c^2)",
+        |rng| {
+            (
+                rng.f64_in(0.1, 10.0),
+                rng.f64_in(0.1, 10.0),
+                rng.f64_in(-0.9, 0.9),
+            )
+        },
+        |&(d0, d1, c)| {
+            if d0 < 0.1 || d1 < 0.1 {
+                return Ok(()); // a shrunk candidate left the domain
+            }
+            // 2x2 SPD matrix via correlation parameterisation.
+            let cov = c * (d0 * d1).sqrt();
+            let m = Matrix::from_rows(2, 2, vec![d0, cov, cov, d1]);
+            let ld = m
+                .log_det_spd()
+                .map_err(|e| format!("d0={d0} d1={d1} c={c}: {e}"))?;
+            let expected = (d0 * d1 - cov * cov).ln();
+            require!((ld - expected).abs() < 1e-6, "{ld} vs {expected}");
             Ok(())
         },
     );

@@ -11,7 +11,8 @@
 use medvid_index::{ShotRef, VideoDatabase};
 use medvid_obs::Recorder;
 use medvid_store::{
-    scan_wal, verify, Store, StoreConfig, StoreError, StoredShot, WalOp, WAL_FILE, WAL_MAGIC,
+    scan_wal, verify, FsyncPolicy, Store, StoreConfig, StoreError, StoredShot, WalOp, WAL_FILE,
+    WAL_MAGIC,
 };
 use medvid_testkit::{forall, require, NoShrink};
 use medvid_types::{EventKind, ShotId, VideoId};
@@ -49,11 +50,15 @@ fn apply(db: &mut VideoDatabase, shot: &StoredShot) {
 }
 
 /// Builds a store directory holding `n` single-shot appends past the
-/// baseline checkpoint, returning the shots in append order.
-fn seeded_store(dir: &Path, n: usize) -> Vec<StoredShot> {
+/// baseline checkpoint under `fsync`, then syncs; returns the shots in
+/// append order.
+fn seeded_store(dir: &Path, n: usize, fsync: FsyncPolicy) -> Vec<StoredShot> {
     let mut recovered = Store::open(
         dir,
-        StoreConfig::default(),
+        StoreConfig {
+            fsync,
+            ..StoreConfig::default()
+        },
         VideoDatabase::medical(),
         Recorder::disabled(),
     )
@@ -68,6 +73,7 @@ fn seeded_store(dir: &Path, n: usize) -> Vec<StoredShot> {
             .unwrap();
         shots.push(s);
     }
+    recovered.store.sync().expect("final sync");
     shots
 }
 
@@ -99,7 +105,7 @@ fn require_prefix(got: &[usize], appended: usize) -> Result<(), String> {
 #[test]
 fn truncation_at_every_byte_offset_recovers_a_prefix() {
     let dir = scratch("every-offset");
-    let shots = seeded_store(&dir, 10);
+    let shots = seeded_store(&dir, 10, FsyncPolicy::Always);
     let wal = std::fs::read(dir.join(WAL_FILE)).unwrap();
     assert!(wal.len() > WAL_MAGIC.len());
     let full = scan_wal(&dir.join(WAL_FILE)).unwrap().unwrap();
@@ -172,12 +178,17 @@ fn seeded_corruption_never_panics_and_never_invents_records() {
             let shots = rng.usize_in(1, 12);
             let flips = rng.usize_in(1, 6);
             let seed = rng.next_u64();
-            NoShrink((shots, flips, seed))
+            let fsync = *rng.pick(&[
+                FsyncPolicy::Always,
+                FsyncPolicy::EveryN(8),
+                FsyncPolicy::Never,
+            ]);
+            NoShrink((shots, flips, seed, fsync))
         },
         |input| {
-            let (shots, flips, seed) = input.0;
+            let (shots, flips, seed, fsync) = input.0;
             let dir = scratch(&format!("flip-{seed:x}"));
-            let appended = seeded_store(&dir, shots);
+            let appended = seeded_store(&dir, shots, fsync);
             let wal_path = dir.join(WAL_FILE);
             let mut wal = std::fs::read(&wal_path).map_err(|e| e.to_string())?;
 
@@ -220,7 +231,7 @@ fn seeded_corruption_never_panics_and_never_invents_records() {
 #[test]
 fn verify_agrees_with_recovery_without_mutating() {
     let dir = scratch("verify-agree");
-    seeded_store(&dir, 6);
+    seeded_store(&dir, 6, FsyncPolicy::Always);
     let wal_path = dir.join(WAL_FILE);
     let wal = std::fs::read(&wal_path).unwrap();
     let torn = wal.len() - 3;
@@ -250,7 +261,7 @@ fn verify_agrees_with_recovery_without_mutating() {
 #[test]
 fn damaged_checkpoint_is_a_typed_error_never_silent_data_loss() {
     let dir = scratch("bad-ckpt");
-    seeded_store(&dir, 4);
+    seeded_store(&dir, 4, FsyncPolicy::Always);
     let ckpt = dir.join(medvid_store::CHECKPOINT_FILE);
     let mut bytes = std::fs::read(&ckpt).unwrap();
     let mid = bytes.len() / 2;

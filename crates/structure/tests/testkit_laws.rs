@@ -4,13 +4,49 @@
 //! `MEDVID_TESTKIT_SEED=<seed> MEDVID_TESTKIT_CASES=<case + 1>`.
 
 use medvid_structure::cluster::{cluster_scenes_stats, ClusterConfig};
+use medvid_structure::group::{detect_groups, GroupConfig};
 use medvid_structure::scene::{detect_scenes, SceneConfig};
 use medvid_structure::shot::{build_shots, detect_cuts, ShotDetectorConfig};
 use medvid_structure::similarity::GroupSimMatrix;
 use medvid_structure::{group_similarity, shot_similarity, SimilarityWeights};
 use medvid_testkit::domain::{frame_seq, shift_luminance, shots as gen_shots, structure_fixture};
-use medvid_testkit::{forall, require, NoShrink};
-use medvid_types::{Group, Scene, Shot};
+use medvid_testkit::{forall, forall_with, require, Config, NoShrink, TkRng, CASES_ENV};
+use medvid_types::{ColorHistogram, FrameFeatures, Group, Scene, Shot, ShotId, TamuraTexture};
+
+/// The environment's configuration, running `cases` cases unless
+/// `MEDVID_TESTKIT_CASES` overrides the count.
+fn config(cases: usize) -> Config {
+    let mut cfg = Config::from_env();
+    if std::env::var_os(CASES_ENV).is_none() {
+        cfg.cases = cases;
+    }
+    cfg
+}
+
+/// Shot `i` of `len` frames whose colour histogram and texture are one-hot
+/// at `bin` (so equal bins are identical shots, distinct bins disjoint).
+fn shot_from_bin(i: usize, bin: usize, len: usize) -> Shot {
+    let mut hist = vec![0.0f32; 256];
+    hist[bin % 256] = 1.0;
+    let mut tex = vec![0.0f32; 10];
+    tex[bin % 10] = 1.0;
+    Shot::new(
+        ShotId(i),
+        i * 100,
+        i * 100 + len.max(1),
+        FrameFeatures {
+            color: ColorHistogram::new(hist).unwrap(),
+            texture: TamuraTexture::new(tex).unwrap(),
+        },
+    )
+    .unwrap()
+}
+
+/// `lo..=hi` random bins, each below `bins`.
+fn bin_seq(rng: &mut TkRng, lo: usize, hi: usize, bins: usize) -> Vec<usize> {
+    let len = rng.usize_in(lo, hi);
+    (0..len).map(|_| rng.usize_in(0, bins - 1)).collect()
+}
 
 /// Shrinking a fixture by dropping elements would break the positional
 /// id invariants the miners rely on; properties bail out (pass) on such
@@ -314,6 +350,175 @@ fn pcs_fixed_target_is_respected() {
                 scenes.len(),
                 clusters.len()
             );
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn similarity_is_symmetric_bounded() {
+    forall_with(
+        &config(64),
+        "StSim of one-hot shots is symmetric, in [0, 1] and 1 on itself for any WC + WT = 1",
+        |rng| {
+            (
+                rng.usize_in(0, 255),
+                rng.usize_in(0, 255),
+                rng.f32_in(0.0, 1.0),
+            )
+        },
+        |&(b1, b2, wc)| {
+            let w = SimilarityWeights {
+                color: wc,
+                texture: 1.0 - wc,
+            };
+            let a = shot_from_bin(0, b1, 10);
+            let b = shot_from_bin(1, b2, 10);
+            let s1 = shot_similarity(&a, &b, w);
+            let s2 = shot_similarity(&b, &a, w);
+            require!((s1 - s2).abs() < 1e-6, "asymmetric: {s1} vs {s2}");
+            require!(
+                (-1e-6..=1.0 + 1e-6).contains(&s1),
+                "StSim {s1} outside [0, 1] at WC={wc}"
+            );
+            let self_sim = shot_similarity(&a, &a, w);
+            require!(
+                (self_sim - 1.0).abs() < 1e-5,
+                "StSim(bin {b1}, itself) = {self_sim} at WC={wc}"
+            );
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn groups_partition_shots_for_any_bin_sequence() {
+    forall_with(
+        &config(64),
+        "detected groups partition the shots into contiguous runs",
+        |rng| bin_seq(rng, 1, 39, 8),
+        |bins| {
+            if bins.is_empty() {
+                return Ok(()); // a shrunk candidate left the domain
+            }
+            // Spread bins so that distinct values are visually distinct.
+            let shots: Vec<Shot> = bins
+                .iter()
+                .enumerate()
+                .map(|(i, &b)| shot_from_bin(i, b * 30, 10 + i % 20))
+                .collect();
+            let det = detect_groups(
+                &shots,
+                SimilarityWeights::default(),
+                &GroupConfig::default(),
+            );
+            let mut all: Vec<ShotId> = det.groups.iter().flat_map(|g| g.shots.clone()).collect();
+            all.sort_unstable();
+            let expected: Vec<ShotId> = (0..shots.len()).map(ShotId).collect();
+            require!(all == expected, "groups cover {all:?}, not every shot once");
+            for g in &det.groups {
+                for w in g.shots.windows(2) {
+                    require!(
+                        w[1].index() == w[0].index() + 1,
+                        "group {:?} is not contiguous: {:?}",
+                        g.id,
+                        g.shots
+                    );
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn scenes_use_each_group_at_most_once() {
+    forall_with(
+        &config(64),
+        "scenes hold disjoint groups, their representative, and >= min_scene_shots shots",
+        |rng| (bin_seq(rng, 2, 29, 6), rng.usize_in(1, 3)),
+        |(bins, min_shots)| {
+            if bins.len() < 2 || *min_shots == 0 {
+                return Ok(()); // a shrunk candidate left the domain
+            }
+            let shots: Vec<Shot> = bins
+                .iter()
+                .enumerate()
+                .map(|(i, &b)| shot_from_bin(i, b * 40, 12))
+                .collect();
+            let w = SimilarityWeights::default();
+            let groups = detect_groups(&shots, w, &GroupConfig::default()).groups;
+            let det = detect_scenes(
+                &groups,
+                &shots,
+                w,
+                &SceneConfig {
+                    merge_threshold: None,
+                    min_scene_shots: *min_shots,
+                },
+            );
+            let mut seen = std::collections::HashSet::new();
+            for scene in &det.scenes {
+                require!(
+                    scene.groups.contains(&scene.representative_group),
+                    "scene {:?} misses its representative group",
+                    scene.id
+                );
+                for g in &scene.groups {
+                    require!(seen.insert(*g), "group {g:?} used twice");
+                }
+                let shot_count: usize = scene.groups.iter().map(|&g| groups[g.index()].len()).sum();
+                require!(
+                    shot_count >= *min_shots,
+                    "scene {:?} has {shot_count} shots, below {min_shots}",
+                    scene.id
+                );
+            }
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn rep_shots_always_members() {
+    forall_with(
+        &config(64),
+        "representative shots are members and clusters partition each group",
+        |rng| bin_seq(rng, 1, 24, 5),
+        |bins| {
+            let shots: Vec<Shot> = bins
+                .iter()
+                .enumerate()
+                .map(|(i, &b)| shot_from_bin(i, b * 50, 10))
+                .collect();
+            let det = detect_groups(
+                &shots,
+                SimilarityWeights::default(),
+                &GroupConfig::default(),
+            );
+            for g in &det.groups {
+                require!(
+                    !g.representative_shots.is_empty(),
+                    "group {:?} has no representative",
+                    g.id
+                );
+                for r in &g.representative_shots {
+                    require!(
+                        g.shots.contains(r),
+                        "representative {r:?} outside group {:?}",
+                        g.id
+                    );
+                }
+                let mut cluster_shots: Vec<ShotId> =
+                    g.shot_clusters.iter().flatten().copied().collect();
+                cluster_shots.sort_unstable();
+                let mut members = g.shots.clone();
+                members.sort_unstable();
+                require!(
+                    cluster_shots == members,
+                    "clusters {cluster_shots:?} do not partition {members:?}"
+                );
+            }
             Ok(())
         },
     );
