@@ -9,12 +9,17 @@ use medvid_cluster::{shard_of, ClusterTopology, Coordinator, CoordinatorConfig};
 use medvid_eval::report::{f3, print_table, write_report};
 use medvid_index::persist::DatabaseSnapshot;
 use medvid_index::{ShotRecord, VideoDatabase};
-use medvid_obs::{CorpusReport, Recorder};
+use medvid_obs::{CorpusReport, LogHistogram, Recorder};
 use medvid_serve::loadgen::{self, LoadConfig};
 use medvid_serve::{Client, MetricsSnapshot, QueryRequest, Response, ServerConfig, WireStrategy};
 use medvid_synth::{standard_corpus, CorpusScale};
 use serde::Serialize;
 use std::time::{Duration, Instant};
+
+/// Bound on client-observed p50 minus the server window's p50, on
+/// loopback with persistent connections. A delayed-ACK stall costs at
+/// least 40 ms per request, so a regression cannot hide under it.
+const WIRE_GAP_BOUND_MS: f64 = 10.0;
 
 #[derive(Serialize)]
 struct Row {
@@ -187,6 +192,7 @@ fn main() {
     let addr = handle.addr();
     println!("serving on {addr}; {clients} clients x {requests} requests per strategy");
     let mut rows = Vec::new();
+    let mut client_latency = LogHistogram::new();
     for strategy in [
         WireStrategy::Flat,
         WireStrategy::Hierarchical,
@@ -201,6 +207,7 @@ fn main() {
             ..LoadConfig::default()
         };
         let report = loadgen::run(addr, &config).expect("load run against live server");
+        client_latency.merge(&report.latency);
         let label = match strategy {
             WireStrategy::Flat => "flat",
             WireStrategy::Hierarchical => "hierarchical",
@@ -236,6 +243,21 @@ fn main() {
         live.window.p99_ms,
         live.window.cache_hit_rate * 100.0
     );
+    // The two latency views of the same requests: the clients' (frame
+    // written to answer read) and the server's window (frame arrival to
+    // answer written). They differ only by the loopback wire.
+    let client_p50_ms = client_latency.quantile_nanos(0.50) as f64 / 1e6;
+    let gap_ms = client_p50_ms - live.window.p50_ms;
+    println!(
+        "p50: client {client_p50_ms:.3} ms, server window {:.3} ms, wire gap {gap_ms:.3} ms",
+        live.window.p50_ms
+    );
+    assert!(
+        gap_ms < WIRE_GAP_BOUND_MS,
+        "client p50 exceeds the server's by {gap_ms:.3} ms (bound {WIRE_GAP_BOUND_MS} ms): \
+         the persistent-connection wire is stalling"
+    );
+    println!("wire gap: ok");
     handle.shutdown();
     handle.join();
 

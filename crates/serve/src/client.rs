@@ -24,12 +24,15 @@ impl<S: Read + Write> std::fmt::Debug for Client<S> {
 
 impl Client<TcpStream> {
     /// Connects with `timeout` applied to the connection attempt and both
-    /// socket directions.
+    /// socket directions, with Nagle's algorithm off: every request is one
+    /// complete frame, so there is nothing to coalesce and only delayed
+    /// ACKs to wait for.
     ///
     /// # Errors
     /// Propagates connection failures.
     pub fn connect(addr: SocketAddr, timeout: Duration) -> io::Result<Self> {
         let stream = TcpStream::connect_timeout(&addr, timeout)?;
+        stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(timeout))?;
         stream.set_write_timeout(Some(timeout))?;
         Ok(Client { stream })

@@ -8,6 +8,7 @@ use medvid_index::{NodeId, PlannedPath, RetrievalStats, Strategy};
 use medvid_types::{EventKind, ShotId, VideoId};
 use serde::{Deserialize, Serialize};
 use std::io::{self, Read, Write};
+use std::time::Instant;
 
 /// Protocol identifier, reported by [`Response::Stats`].
 pub const PROTOCOL_VERSION: &str = "medvid-serve/v1";
@@ -880,7 +881,10 @@ impl Response {
     }
 }
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame, header and payload in a single
+/// `write_all`. Two writes on a persistent TCP connection (a 4-byte
+/// header, then the body) let Nagle's algorithm hold the body until the
+/// peer's delayed ACK of the header fires — about 40 ms per direction.
 ///
 /// # Errors
 /// Propagates I/O failures; oversized payloads are `InvalidInput`.
@@ -891,8 +895,10 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
             format!("frame of {} bytes exceeds limit", payload.len()),
         ));
     }
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -908,8 +914,19 @@ const READ_CHUNK_BYTES: usize = 64 * 1024;
 /// Propagates I/O failures; a length prefix beyond [`MAX_FRAME_BYTES`] is
 /// `InvalidData` (corrupt or hostile peer).
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Vec<u8>> {
+    read_frame_at(r).map(|(payload, _)| payload)
+}
+
+/// [`read_frame`], also returning the instant the 4-byte length prefix
+/// finished arriving: the moment a request reached its reader, before
+/// the body was read or decoded.
+///
+/// # Errors
+/// As [`read_frame`].
+fn read_frame_at<R: Read>(r: &mut R) -> io::Result<(Vec<u8>, Instant)> {
     let mut len = [0u8; 4];
     r.read_exact(&mut len)?;
+    let arrived = Instant::now();
     let len = u32::from_be_bytes(len);
     if len > MAX_FRAME_BYTES {
         return Err(io::Error::new(
@@ -925,7 +942,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Vec<u8>> {
         buf.resize(start + chunk, 0);
         r.read_exact(&mut buf[start..])?;
     }
-    Ok(buf)
+    Ok((buf, arrived))
 }
 
 /// Serialises `msg` and writes it as one frame.
@@ -943,9 +960,22 @@ pub fn send_message<W: Write, T: Serialize>(w: &mut W, msg: &T) -> io::Result<()
 /// # Errors
 /// Propagates I/O failures; malformed payloads are `InvalidData`.
 pub fn recv_message<R: Read, T: serde::de::DeserializeOwned>(r: &mut R) -> io::Result<T> {
-    let payload = read_frame(r)?;
-    serde_json::from_slice(&payload)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+    recv_message_at(r).map(|(msg, _)| msg)
+}
+
+/// [`recv_message`], also returning when the frame's length prefix
+/// arrived (see [`read_frame_at`]), so a server can time reading the
+/// body and decoding it.
+///
+/// # Errors
+/// As [`recv_message`].
+pub(crate) fn recv_message_at<R: Read, T: serde::de::DeserializeOwned>(
+    r: &mut R,
+) -> io::Result<(T, Instant)> {
+    let (payload, arrived) = read_frame_at(r)?;
+    let msg = serde_json::from_slice(&payload)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+    Ok((msg, arrived))
 }
 
 #[cfg(test)]
@@ -959,6 +989,44 @@ mod tests {
         assert_eq!(&buf[..4], &5u32.to_be_bytes());
         let mut cursor = std::io::Cursor::new(buf);
         assert_eq!(read_frame(&mut cursor).unwrap(), b"hello");
+    }
+
+    /// A writer that counts `write` calls, as a socket sees them.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_leaves_in_one_write() {
+        // Header and payload in separate writes stall a persistent TCP
+        // connection on Nagle's algorithm plus delayed ACK.
+        for payload in [&b""[..], b"hello", &[7u8; 200_000]] {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, payload).unwrap();
+            assert_eq!(
+                w.writes,
+                1,
+                "{}-byte payload took {} writes",
+                payload.len(),
+                w.writes
+            );
+            let mut cursor = std::io::Cursor::new(w.bytes);
+            assert_eq!(read_frame(&mut cursor).unwrap(), payload);
+        }
     }
 
     #[test]

@@ -19,7 +19,9 @@ use crate::protocol::{
 };
 use crate::service::{DbService, IngestError};
 use medvid_jobs::{JobQueue, QueueConfig};
-use crate::trace::{TraceCtx, STAGE_ADMISSION, STAGE_CACHE, STAGE_EXECUTE, STAGE_QUEUE_WAIT};
+use crate::trace::{
+    TraceCtx, STAGE_ADMISSION, STAGE_CACHE, STAGE_EXECUTE, STAGE_QUEUE_WAIT, STAGE_WIRE_DECODE,
+};
 use medvid_index::{non_finite_index, Clearance, PlannedPath, Strategy, UserContext, VideoDatabase};
 use medvid_obs::{counters, Recorder, Stage};
 use medvid_store::{RecoveryReport, Store, StoreConfig};
@@ -475,10 +477,13 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
 }
 
 fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
+    // Every response is one complete frame: Nagle's algorithm would only
+    // hold it back until the client's delayed ACK.
+    let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
     let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
     loop {
-        let request: Request = match protocol::recv_message(&mut stream) {
+        let (request, arrived): (Request, Instant) = match protocol::recv_message_at(&mut stream) {
             Ok(r) => r,
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
@@ -509,11 +514,14 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
             return;
         }
         let shutting_down = matches!(request, Request::Shutdown);
-        let mut outcome = dispatch(request, &shared);
+        let mut outcome = dispatch(request, &shared, arrived);
         outcome.response.stamp_shard(shared.config.shard);
         drop(span);
+        // Observed after the write, so the live window's latency runs from
+        // the frame's arrival through encoding and sending the answer.
+        let sent = protocol::send_message(&mut stream, &outcome.response);
         observe_outcome(&outcome, &shared);
-        if protocol::send_message(&mut stream, &outcome.response).is_err() {
+        if sent.is_err() {
             return;
         }
         if shutting_down {
@@ -646,14 +654,18 @@ fn metrics_snapshot(shared: &Arc<Shared>) -> MetricsSnapshot {
     }
 }
 
-fn dispatch(request: Request, shared: &Arc<Shared>) -> Outcome {
+/// Runs one decoded request. `arrived` is when its frame's length prefix
+/// arrived: traces are anchored there, so their first stage is
+/// [`STAGE_WIRE_DECODE`] (frame body read plus JSON decode).
+fn dispatch(request: Request, shared: &Arc<Shared>, arrived: Instant) -> Outcome {
     let shape = shape_of(&request);
     match request {
         Request::Query(q) => {
             // Detail is always recorded server-side so the slow-query log
             // has a breakdown even for untraced requests; the client only
             // sees it when the request asked.
-            let mut ctx = TraceCtx::begin(q.trace_id.clone(), true);
+            let mut ctx = TraceCtx::begin_at(q.trace_id.clone(), true, arrived);
+            ctx.mark(STAGE_WIRE_DECODE);
             let wants_detail = q.trace;
             let (response, cache_hit) = dispatch_query(q, shared, &mut ctx);
             Outcome {
@@ -669,7 +681,8 @@ fn dispatch(request: Request, shared: &Arc<Shared>) -> Outcome {
             trace,
             topology_epoch,
         } => {
-            let mut ctx = TraceCtx::begin(trace_id, true);
+            let mut ctx = TraceCtx::begin_at(trace_id, true, arrived);
+            ctx.mark(STAGE_WIRE_DECODE);
             // Fencing: a write routed under a topology older than this
             // node's fence must not be acknowledged — the shard has a new
             // leader (or split) and acking here would lose the write. A
@@ -722,7 +735,7 @@ fn dispatch(request: Request, shared: &Arc<Shared>) -> Outcome {
         }
         other => Outcome {
             response: dispatch_plain(other, shared),
-            trace: TraceCtx::begin(None, false),
+            trace: TraceCtx::begin_at(None, false, arrived),
             shape,
             cache_hit: None,
         },

@@ -3,7 +3,9 @@
 //!
 //! A [`TraceCtx`] lives on the connection thread for the duration of one
 //! request. It owns a single monotonic timeline anchored at request
-//! receipt: [`TraceCtx::mark`] closes the interval since the previous
+//! receipt — the arrival of the frame's 4-byte length prefix, so reading
+//! the body and decoding it are the first stage ([`STAGE_WIRE_DECODE`]):
+//! [`TraceCtx::mark`] closes the interval since the previous
 //! mark and attributes it to a named stage, so the stage durations are
 //! consecutive, non-overlapping sub-intervals — their sum can never
 //! exceed the request's total latency. Work that happens on another
@@ -21,6 +23,9 @@ use crate::protocol::{StageTiming, TraceReport};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+/// Stage label for reading a request frame's body off the socket and
+/// decoding its JSON, from the arrival of the length prefix.
+pub const STAGE_WIRE_DECODE: &str = "wire_decode";
 /// Stage label for time spent validating and canonicalising a request.
 pub const STAGE_ADMISSION: &str = "admission";
 /// Stage label for the result-cache lookup.
@@ -63,12 +68,18 @@ impl TraceCtx {
     /// otherwise a server-side id is generated. `detail` controls whether
     /// a per-stage breakdown is recorded and returned on the wire.
     pub fn begin(id: Option<String>, detail: bool) -> Self {
-        let now = Instant::now();
+        Self::begin_at(id, detail, Instant::now())
+    }
+
+    /// Starts a trace whose timeline is anchored at `started`, an instant
+    /// already past (when the request's frame began to arrive); the first
+    /// [`Self::mark`] attributes everything since then.
+    pub fn begin_at(id: Option<String>, detail: bool, started: Instant) -> Self {
         TraceCtx {
             id: id.filter(|s| !s.is_empty()).unwrap_or_else(generate_id),
             detail,
-            started: now,
-            last_mark: now,
+            started,
+            last_mark: started,
             stages: Vec::new(),
         }
     }
@@ -178,6 +189,18 @@ mod tests {
             "stage sum {sum} > total {}",
             report.total_micros
         );
+    }
+
+    #[test]
+    fn begin_at_attributes_the_time_before_the_trace_object_existed() {
+        let arrived = Instant::now();
+        std::thread::sleep(Duration::from_millis(2));
+        let mut t = TraceCtx::begin_at(None, true, arrived);
+        t.mark(STAGE_WIRE_DECODE);
+        let report = t.report();
+        assert_eq!(report.stages[0].stage, STAGE_WIRE_DECODE);
+        assert!(report.stages[0].micros >= 2_000, "{:?}", report.stages);
+        assert!(report.stages[0].micros <= report.total_micros);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use medvid_index::VideoDatabase;
 use medvid_obs::Recorder;
-use medvid_serve::trace::{STAGE_CACHE, STAGE_EXECUTE, STAGE_QUEUE_WAIT};
+use medvid_serve::trace::{STAGE_CACHE, STAGE_EXECUTE, STAGE_QUEUE_WAIT, STAGE_WIRE_DECODE};
 use medvid_serve::{
     spawn, Client, ErrorKind, IngestShot, QueryRequest, Response, ServerConfig, ServerHandle,
     SlowQueryRecord, TraceReport,
@@ -57,6 +57,11 @@ fn query(trace_id: Option<&str>, trace: bool, seed: usize) -> QueryRequest {
 }
 
 fn assert_stage_sum_within_total(report: &TraceReport) {
+    assert_eq!(
+        report.stages.first().map(|s| s.stage.as_str()),
+        Some(STAGE_WIRE_DECODE),
+        "the trace starts when the frame arrives, so decoding it is the first stage"
+    );
     let sum: u64 = report.stages.iter().map(|s| s.micros).sum();
     assert!(
         sum <= report.total_micros,

@@ -249,6 +249,41 @@ fn repeated_query_is_served_from_cache() {
 }
 
 #[test]
+fn persistent_connection_round_trip_has_no_delayed_ack_stall() {
+    let db = build_db(405);
+    let probe: Vec<f32> = db.records_iter().next().unwrap().features.clone();
+    let handle = spawn_server(db, ServerConfig::default());
+    let mut client = connect(&handle);
+    let request = QueryRequest {
+        vector: Some(probe),
+        limit: Some(3),
+        ..QueryRequest::default()
+    };
+    let mut round_trips: Vec<Duration> = (0..50)
+        .map(|_| {
+            let t0 = std::time::Instant::now();
+            let response = client.query(request.clone()).unwrap();
+            assert!(
+                matches!(response, Response::Results { .. }),
+                "got {response:?}"
+            );
+            t0.elapsed()
+        })
+        .collect();
+    round_trips.sort();
+    let median = round_trips[round_trips.len() / 2];
+    // A frame split over two writes, or Nagle left on at either end, makes
+    // every request on a reused connection wait out a delayed ACK: 40 ms
+    // or more. The server's own work here is a cache hit.
+    assert!(
+        median < Duration::from_millis(10),
+        "median round trip on one persistent connection is {median:?}"
+    );
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
 fn shutdown_request_drains_the_server() {
     let db = build_db(404);
     let handle = spawn_server(db, ServerConfig::default());
