@@ -48,7 +48,13 @@ impl SpeechClassifier {
     /// featurise; otherwise `(is_speech, margin)`.
     pub fn classify(&self, clip: &[f32]) -> Option<(bool, f64)> {
         let f = self.extractor.extract(clip)?;
-        Some(self.inner.classify(&f))
+        Some(self.classify_features(&f))
+    }
+
+    /// Classifies an already extracted 14-feature vector (see
+    /// [`crate::features`]): `(is_speech, margin)`.
+    pub fn classify_features(&self, features: &[f64]) -> (bool, f64) {
+        self.inner.classify(features)
     }
 
     /// Speech-likeness score (log-likelihood margin); `None` for clips too

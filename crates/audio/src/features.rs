@@ -27,15 +27,16 @@ use medvid_signal::window::{apply_window_into, frames, hamming};
 /// Number of clip-level features.
 pub const CLIP_FEATURE_DIMS: usize = 14;
 
-/// A reusable clip-feature extractor: the Hamming analysis window and the
-/// [`FftPlan`] are built once and amortised across every clip (previously
-/// both were rebuilt per [`clip_features`] call), and the per-frame window /
-/// spectrum buffers are reused across frames.
+/// A reusable clip-feature extractor: the Hamming analysis window, the
+/// [`FftPlan`] and the per-bin spectrum tables are built once and amortised
+/// across every clip, and the per-frame window / spectrum buffers are reused
+/// across frames.
 ///
 /// The extractor is immutable and `Sync`, so shots can be featurised in
-/// parallel against one shared instance. Output is numerically identical to
-/// the historical free-function path (the plan's FFT is bit-identical to the
-/// one it replaces).
+/// parallel against one shared instance. Each table entry comes from the
+/// expression the frame loop would otherwise evaluate per frame, and every
+/// sum keeps its order, so the features are bit-identical to computing each
+/// frame from scratch (`crates/audio/tests/testkit_bic.rs` checks this).
 #[derive(Debug, Clone)]
 pub struct ClipFeatureExtractor {
     sample_rate: u32,
@@ -43,6 +44,11 @@ pub struct ClipFeatureExtractor {
     hop: usize,
     window: Vec<f64>,
     plan: FftPlan,
+    /// `bin_freqs[k] = k * bin_hz`: the centre frequency of spectrum bin `k`.
+    bin_freqs: Vec<f64>,
+    /// Sub-band `b` (0–500, 500–1000, 1000–2000, 2000 Hz–Nyquist) covers
+    /// bins `band_starts[b]..band_starts[b + 1]`.
+    band_starts: [usize; 5],
 }
 
 impl ClipFeatureExtractor {
@@ -51,12 +57,27 @@ impl ClipFeatureExtractor {
     pub fn new(sample_rate: u32) -> Self {
         let frame_len = (0.030 * sample_rate as f64).round() as usize;
         let hop = (0.010 * sample_rate as f64).round() as usize;
+        let plan = FftPlan::new(next_pow2(frame_len));
+        let bins = plan.len() / 2 + 1;
+        let bin_hz = sample_rate as f64 / 2.0 / (bins - 1).max(1) as f64;
+        let bin_freqs: Vec<f64> = (0..bins).map(|k| k as f64 * bin_hz).collect();
+        // Bin frequencies ascend, so each sub-band is one contiguous run.
+        let first_at_or_above = |hz: f64| bin_freqs.partition_point(|&f| f < hz);
+        let band_starts = [
+            0,
+            first_at_or_above(500.0),
+            first_at_or_above(1000.0),
+            first_at_or_above(2000.0),
+            bins,
+        ];
         Self {
             sample_rate,
             frame_len,
             hop,
             window: hamming(frame_len),
-            plan: FftPlan::new(next_pow2(frame_len)),
+            plan,
+            bin_freqs,
+            band_starts,
         }
     }
 
@@ -82,12 +103,14 @@ impl ClipFeatureExtractor {
         let mut fluxes = Vec::new();
         let mut band_energy = [0.0f64; 4];
         let mut total_energy = 0.0f64;
-        // Reused across frames: the windowed frame, FFT scratch, and the
-        // current / previous power spectra (swapped, never reallocated).
+        // Reused across frames: the windowed frame, FFT scratch, the power
+        // spectrum, and the current / previous magnitude spectra (swapped,
+        // never reallocated; each bin's square root is taken once).
         let mut windowed = Vec::with_capacity(frame_len);
         let mut scratch: Vec<Complex> = Vec::new();
         let mut power: Vec<f64> = Vec::new();
-        let mut prev: Vec<f64> = Vec::new();
+        let mut magnitude: Vec<f64> = Vec::new();
+        let mut prev_magnitude: Vec<f64> = Vec::new();
         let mut has_prev = false;
 
         for frame in frames(signal, frame_len, hop) {
@@ -96,15 +119,14 @@ impl ClipFeatureExtractor {
             apply_window_into(frame, &self.window, &mut windowed);
             self.plan
                 .power_spectrum_into(&windowed, &mut scratch, &mut power);
-            let bins = power.len();
-            let bin_hz = nyquist / (bins - 1).max(1) as f64;
             let total: f64 = power.iter().sum();
             if total > 1e-12 {
                 // Centroid.
-                let centroid: f64 = power
+                let centroid: f64 = self
+                    .bin_freqs
                     .iter()
-                    .enumerate()
-                    .map(|(k, &p)| k as f64 * bin_hz * p)
+                    .zip(&power)
+                    .map(|(&hz, &p)| hz * p)
                     .sum::<f64>()
                     / total;
                 centroids.push(centroid / nyquist);
@@ -118,37 +140,32 @@ impl ClipFeatureExtractor {
                         break;
                     }
                 }
-                rolloffs.push(roll as f64 * bin_hz / nyquist);
+                rolloffs.push(self.bin_freqs[roll] / nyquist);
             } else {
                 centroids.push(0.0);
                 rolloffs.push(0.0);
             }
             // Flux.
+            magnitude.clear();
+            magnitude.extend(power.iter().map(|p| p.sqrt()));
             if has_prev {
-                let flux: f64 = power
+                let flux: f64 = magnitude
                     .iter()
-                    .zip(prev.iter())
-                    .map(|(&a, &b)| (a.sqrt() - b.sqrt()).abs())
+                    .zip(prev_magnitude.iter())
+                    .map(|(&a, &b)| (a - b).abs())
                     .sum::<f64>()
-                    / bins as f64;
+                    / self.bin_freqs.len() as f64;
                 fluxes.push(flux);
             }
-            // Sub-bands: 0-500, 500-1000, 1000-2000, 2000-4000 Hz.
-            for (k, &p) in power.iter().enumerate() {
-                let hz = k as f64 * bin_hz;
-                let band = if hz < 500.0 {
-                    0
-                } else if hz < 1000.0 {
-                    1
-                } else if hz < 2000.0 {
-                    2
-                } else {
-                    3
-                };
-                band_energy[band] += p;
-                total_energy += p;
+            // Sub-bands, each summed in ascending bin order.
+            for (band, energy) in band_energy.iter_mut().enumerate() {
+                let (lo, hi) = (self.band_starts[band], self.band_starts[band + 1]);
+                for &p in &power[lo..hi] {
+                    *energy += p;
+                    total_energy += p;
+                }
             }
-            std::mem::swap(&mut prev, &mut power);
+            std::mem::swap(&mut prev_magnitude, &mut magnitude);
             has_prev = true;
         }
 
@@ -233,21 +250,89 @@ pub fn pitch_strength(signal: &[f32], sample_rate: u32) -> f64 {
             .collect();
         let mean = seg.iter().sum::<f64>() / seg.len() as f64;
         let seg: Vec<f64> = seg.iter().map(|s| s - mean).collect();
+        let sq: Vec<f64> = seg.iter().map(|x| x * x).collect();
+        // `ea` at lag `l` sums the first `n - l` squares left to right,
+        // which is exactly entry `n - l` of this running prefix. (`eb` is a
+        // suffix sum and `corr` changes with every lag: neither can be
+        // derived from a prefix without changing the rounding.)
+        let mut prefix_sq = Vec::with_capacity(sq.len() + 1);
+        let mut acc = 0.0f64;
+        prefix_sq.push(acc);
+        for &x in &sq {
+            acc += x;
+            prefix_sq.push(acc);
+        }
+        let last_lag = max_lag.min(seg.len() - 1);
         let mut best = 0.0f64;
-        for lag in min_lag..=max_lag.min(seg.len() - 1) {
-            let (a, b) = (&seg[..seg.len() - lag], &seg[lag..]);
-            let corr: f64 = a.iter().zip(b.iter()).map(|(x, y)| x * y).sum();
-            let ea: f64 = a.iter().map(|x| x * x).sum();
-            let eb: f64 = b.iter().map(|x| x * x).sum();
+        let mut consider = |lag: usize, corr: f64, eb: f64| {
+            let ea = prefix_sq[seg.len() - lag];
             let denom = (ea * eb).sqrt();
             if denom > 1e-12 {
                 best = best.max(corr / denom);
             }
+        };
+        let mut lag = min_lag;
+        while lag + LAG_LANES - 1 <= last_lag {
+            let (corr, eb) = lag_block(&seg, &sq, lag);
+            for j in 0..LAG_LANES {
+                consider(lag + j, corr[j], eb[j]);
+            }
+            lag += LAG_LANES;
+        }
+        for lag in lag..=last_lag {
+            let (a, b) = (&seg[..seg.len() - lag], &seg[lag..]);
+            let corr: f64 = a.iter().zip(b.iter()).map(|(x, y)| x * y).sum();
+            let eb: f64 = sq[lag..].iter().sum();
+            consider(lag, corr, eb);
         }
         peaks.push(best);
     }
     peaks.sort_by(|a, b| a.partial_cmp(b).expect("finite peak"));
     peaks[peaks.len() / 2].clamp(0.0, 1.0)
+}
+
+/// Lags [`lag_block`] evaluates together.
+const LAG_LANES: usize = 8;
+
+/// `corr` and `eb` of [`pitch_strength`] for the `LAG_LANES` lags from
+/// `lag0`: `corr[j] = sum_i seg[i] seg[i + lag0 + j]` over `i < n - lag0 - j`
+/// and `eb[j] = sum_i sq[i]` over `i >= lag0 + j`.
+///
+/// One lag at a time, each sum is a chain of dependent additions that
+/// waits on the adder's latency. Here the lags' sums advance side by side
+/// as independent chains, but each chain still adds exactly its own terms
+/// in ascending `i` from `Sum`'s `-0.0` start, so every value is
+/// bit-identical to summing that lag alone.
+///
+/// Requires `lag0 + LAG_LANES <= seg.len()` and `sq[i] == seg[i] * seg[i]`.
+fn lag_block(seg: &[f64], sq: &[f64], lag0: usize) -> ([f64; LAG_LANES], [f64; LAG_LANES]) {
+    let n = seg.len();
+    let mut corr = [-0.0f64; LAG_LANES];
+    let mut eb = [-0.0f64; LAG_LANES];
+    // Terms every lag of the block has, then each lag's own tail.
+    let shared = n - lag0 - (LAG_LANES - 1);
+    for (&x, ys) in seg[..shared].iter().zip(seg[lag0..].windows(LAG_LANES)) {
+        for (c, &y) in corr.iter_mut().zip(ys) {
+            *c += x * y;
+        }
+    }
+    for (j, c) in corr.iter_mut().enumerate() {
+        for i in shared..n - lag0 - j {
+            *c += seg[i] * seg[i + lag0 + j];
+        }
+    }
+    // Each lag's own head, then the squares every lag of the block sums.
+    for (j, e) in eb.iter_mut().enumerate() {
+        for &s in &sq[lag0 + j..lag0 + LAG_LANES - 1] {
+            *e += s;
+        }
+    }
+    for &s in &sq[lag0 + LAG_LANES - 1..] {
+        for e in eb.iter_mut() {
+            *e += s;
+        }
+    }
+    (corr, eb)
 }
 
 #[cfg(test)]

@@ -58,8 +58,10 @@ impl AudioMiner {
     }
 
     /// Like [`Self::analyze_shots`], timing the pass under the `audio_bic`
-    /// stage and counting speech vs non-speech representative clips (plus
-    /// shots too short to carry one) through `rec`.
+    /// stage, each shot's clip scoring under `audio_clip_score` and its MFCC
+    /// extraction under `audio_mfcc`, and counting speech vs non-speech
+    /// representative clips (plus shots too short to carry one) through
+    /// `rec`.
     ///
     /// Shots are analysed in parallel (each shot's clip scoring and MFCC
     /// extraction is independent); results keep shot order and the counters
@@ -74,20 +76,23 @@ impl AudioMiner {
         let _span = rec.span(Stage::AudioBic);
         let analyses: Vec<ShotAudio> = medvid_par::par_map_indexed(shots.len(), |i| {
             let shot = &shots[i];
-            let (s0, s1) = video.frame_range_to_samples(shot.start_frame, shot.end_frame);
-            let clips = shot_clips(&video.audio, s0, s1);
-            // Representative clip: highest speech score (paper: "select
-            // the clip most like the speech clip").
-            let best = clips
-                .iter()
-                .filter_map(|&c| {
-                    self.classifier
-                        .speech_score(video.audio.clip_samples(c))
-                        .map(|score| (c, score))
-                })
-                .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite score"));
+            let best = {
+                let _span = rec.span(Stage::AudioClipScore);
+                let (s0, s1) = video.frame_range_to_samples(shot.start_frame, shot.end_frame);
+                // Representative clip: highest speech score (paper: "select
+                // the clip most like the speech clip").
+                shot_clips(&video.audio, s0, s1)
+                    .into_iter()
+                    .filter_map(|c| {
+                        self.classifier
+                            .speech_score(video.audio.clip_samples(c))
+                            .map(|score| (c, score))
+                    })
+                    .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite score"))
+            };
             match best {
                 Some((clip, score)) => {
+                    let _span = rec.span(Stage::AudioMfcc);
                     let samples = video.audio.clip_samples(clip);
                     ShotAudio {
                         representative_clip: Some(clip),

@@ -5,13 +5,22 @@
 //! `MEDVID_TESTKIT_SEED=<seed> MEDVID_TESTKIT_CASES=<case + 1>`.
 
 use medvid_audio::bic::{bic_on_waveforms, bic_speaker_change, voiced_frames, BicConfig, BicError};
-use medvid_audio::clips::segment_clips;
-use medvid_audio::features::{clip_features, CLIP_FEATURE_DIMS};
+use medvid_audio::clips::{segment_clips, shot_clips};
+use medvid_audio::features::{clip_features, pitch_strength, CLIP_FEATURE_DIMS};
+use medvid_audio::{AudioMiner, SpeechClassifier};
+use medvid_signal::fft::power_spectrum;
 use medvid_signal::mel::MfccExtractor;
-use medvid_synth::voice::{synth_speech, voice_for_speaker};
+use medvid_signal::stats::{mean, rms, std_dev, zero_crossing_rate};
+use medvid_signal::window::{apply_window, frames as frame_slices, hamming};
+use medvid_synth::generate::speech_training_clips;
+use medvid_synth::voice::{synth_ambient, synth_music, synth_speech, voice_for_speaker};
+use medvid_synth::{standard_corpus, CorpusScale};
 use medvid_testkit::{forall, forall_with, require, Config, TkRng, CASES_ENV};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+#[path = "../../signal/tests/reference/mfcc.rs"]
+mod reference_mfcc;
 
 const SR: u32 = 8000;
 /// Two seconds of audio per clip — enough MFCC frames for a stable
@@ -324,4 +333,324 @@ fn voiced_frames_is_subset_preserving_dims() {
             Ok(())
         },
     );
+}
+
+/// Pitch strength with its three sums recomputed from scratch at every lag:
+/// the reference the prefix-summed `pitch_strength` must match bit for bit.
+fn reference_pitch_strength(signal: &[f32], sample_rate: u32) -> f64 {
+    let sr = sample_rate as f64;
+    let min_lag = (sr / 320.0) as usize;
+    let max_lag = (sr / 80.0) as usize;
+    let frame_len = max_lag * 3;
+    if signal.len() < frame_len || min_lag == 0 {
+        return 0.0;
+    }
+    let hop = frame_len / 2;
+    let mut frames_by_energy: Vec<(f64, usize)> = (0..)
+        .map(|i| i * hop)
+        .take_while(|&s| s + frame_len <= signal.len())
+        .map(|s| {
+            let e: f64 = signal[s..s + frame_len]
+                .iter()
+                .map(|&x| (x as f64) * (x as f64))
+                .sum();
+            (e, s)
+        })
+        .collect();
+    if frames_by_energy.is_empty() {
+        return 0.0;
+    }
+    frames_by_energy.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite energy"));
+    let take = (frames_by_energy.len() / 3).max(1);
+    let mut peaks: Vec<f64> = Vec::with_capacity(take);
+    for &(energy, start) in frames_by_energy.iter().take(take) {
+        if energy < 1e-9 {
+            peaks.push(0.0);
+            continue;
+        }
+        let seg: Vec<f64> = signal[start..start + frame_len]
+            .iter()
+            .map(|&s| s as f64)
+            .collect();
+        let mean = seg.iter().sum::<f64>() / seg.len() as f64;
+        let seg: Vec<f64> = seg.iter().map(|s| s - mean).collect();
+        let mut best = 0.0f64;
+        for lag in min_lag..=max_lag.min(seg.len() - 1) {
+            let (a, b) = (&seg[..seg.len() - lag], &seg[lag..]);
+            let corr: f64 = a.iter().zip(b.iter()).map(|(x, y)| x * y).sum();
+            let ea: f64 = a.iter().map(|x| x * x).sum();
+            let eb: f64 = b.iter().map(|x| x * x).sum();
+            let denom = (ea * eb).sqrt();
+            if denom > 1e-12 {
+                best = best.max(corr / denom);
+            }
+        }
+        peaks.push(best);
+    }
+    peaks.sort_by(|a, b| a.partial_cmp(b).expect("finite peak"));
+    peaks[peaks.len() / 2].clamp(0.0, 1.0)
+}
+
+/// The 14 clip features computed frame by frame from scratch: the ad-hoc
+/// FFT, per-bin band branches, both square roots of the flux per bin, and
+/// the three-sum pitch strength.
+fn reference_clip_features(signal: &[f32], sample_rate: u32) -> Option<Vec<f64>> {
+    let frame_len = (0.030 * sample_rate as f64).round() as usize;
+    let hop = (0.010 * sample_rate as f64).round() as usize;
+    if signal.len() < frame_len || frame_len == 0 || hop == 0 {
+        return None;
+    }
+    let window = hamming(frame_len);
+    let nyquist = sample_rate as f64 / 2.0;
+    let (mut energies, mut zcrs, mut centroids, mut rolloffs, mut fluxes) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    let mut band_energy = [0.0f64; 4];
+    let mut total_energy = 0.0f64;
+    let mut prev: Option<Vec<f64>> = None;
+    for frame in frame_slices(signal, frame_len, hop) {
+        energies.push(rms(frame));
+        zcrs.push(zero_crossing_rate(frame));
+        let power = power_spectrum(&apply_window(frame, &window));
+        let bins = power.len();
+        let bin_hz = nyquist / (bins - 1).max(1) as f64;
+        let total: f64 = power.iter().sum();
+        if total > 1e-12 {
+            let centroid: f64 = power
+                .iter()
+                .enumerate()
+                .map(|(k, &p)| k as f64 * bin_hz * p)
+                .sum::<f64>()
+                / total;
+            centroids.push(centroid / nyquist);
+            let mut acc = 0.0;
+            let mut roll = 0usize;
+            for (k, &p) in power.iter().enumerate() {
+                acc += p;
+                if acc >= 0.85 * total {
+                    roll = k;
+                    break;
+                }
+            }
+            rolloffs.push(roll as f64 * bin_hz / nyquist);
+        } else {
+            centroids.push(0.0);
+            rolloffs.push(0.0);
+        }
+        if let Some(prev) = &prev {
+            let flux: f64 = power
+                .iter()
+                .zip(prev.iter())
+                .map(|(&a, &b)| (a.sqrt() - b.sqrt()).abs())
+                .sum::<f64>()
+                / bins as f64;
+            fluxes.push(flux);
+        }
+        for (k, &p) in power.iter().enumerate() {
+            let hz = k as f64 * bin_hz;
+            let band = if hz < 500.0 {
+                0
+            } else if hz < 1000.0 {
+                1
+            } else if hz < 2000.0 {
+                2
+            } else {
+                3
+            };
+            band_energy[band] += p;
+            total_energy += p;
+        }
+        prev = Some(power);
+    }
+    let peak = energies.iter().copied().fold(0.0f64, f64::max);
+    let silence_thresh = (peak * 0.1).max(1e-4);
+    let silence_ratio =
+        energies.iter().filter(|&&e| e < silence_thresh).count() as f64 / energies.len() as f64;
+    let mut out = vec![
+        mean(&energies),
+        std_dev(&energies),
+        silence_ratio,
+        mean(&zcrs),
+        std_dev(&zcrs),
+        mean(&centroids),
+        std_dev(&centroids),
+        mean(&rolloffs),
+        mean(&fluxes),
+    ];
+    for band in band_energy {
+        out.push(if total_energy > 1e-12 {
+            band / total_energy
+        } else {
+            0.0
+        });
+    }
+    out.push(reference_pitch_strength(signal, sample_rate));
+    Some(out)
+}
+
+/// The clip classes of the bit-identity sweep.
+const VOICE_KINDS: [&str; 7] = [
+    "speech",
+    "ambient",
+    "music",
+    "silence",
+    "dc_offset",
+    "clipped",
+    "speech_at_16k",
+];
+
+/// A `len`-sample clip of class `VOICE_KINDS[kind]` from the corpus
+/// synthesiser, with its sample rate.
+fn voice_clip(kind: usize, len: usize, seed: u64) -> (Vec<f32>, u32) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let speaker = (seed % 40) as u32;
+    let t0 = (seed % 10_000) as usize;
+    let talk = |rng: &mut StdRng, sr| synth_speech(&voice_for_speaker(speaker), len, t0, sr, rng);
+    let clip = match VOICE_KINDS[kind % VOICE_KINDS.len()] {
+        "speech" => talk(&mut rng, SR),
+        "ambient" => synth_ambient(len, t0, SR, &mut rng),
+        "music" => synth_music(len, t0, SR, &mut rng),
+        "silence" => vec![0.0; len],
+        "dc_offset" => talk(&mut rng, SR).iter().map(|s| s + 0.3).collect(),
+        "clipped" => talk(&mut rng, SR)
+            .iter()
+            .map(|s| (s * 12.0).clamp(-1.0, 1.0))
+            .collect(),
+        _ => return (talk(&mut rng, 16_000), 16_000),
+    };
+    (clip, SR)
+}
+
+/// `(kind, len, seed)`: lengths from below one analysis frame up to 4 s.
+fn voice_case(rng: &mut TkRng) -> (usize, usize, u64) {
+    let len = if rng.bool_p(0.25) {
+        rng.usize_in(0, 600)
+    } else {
+        rng.usize_in(0, 4 * SR as usize)
+    };
+    (rng.usize_in(0, VOICE_KINDS.len() - 1), len, rng.next_u64())
+}
+
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+#[test]
+fn clip_features_and_pitch_match_the_reference_bit_for_bit() {
+    forall_with(
+        &config(32),
+        "clip_features and pitch_strength == from-scratch reference, bit for bit",
+        voice_case,
+        |&(kind, len, seed)| {
+            let (clip, sr) = voice_clip(kind, len, seed);
+            let what = format!(
+                "{} clip of {len} samples",
+                VOICE_KINDS[kind % VOICE_KINDS.len()]
+            );
+            let (got, want) = (
+                pitch_strength(&clip, sr),
+                reference_pitch_strength(&clip, sr),
+            );
+            require!(
+                got.to_bits() == want.to_bits(),
+                "{what}: pitch {got:e} vs {want:e}"
+            );
+            match (clip_features(&clip, sr), reference_clip_features(&clip, sr)) {
+                (None, None) => {}
+                (Some(got), Some(want)) => {
+                    require!(
+                        same_bits(&got, &want),
+                        "{what}: features {got:?} vs {want:?}"
+                    )
+                }
+                (got, want) => return Err(format!("{what}: {got:?} vs {want:?}")),
+            }
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn mfcc_of_synthetic_voices_matches_the_reference_bit_for_bit() {
+    forall_with(
+        &config(32),
+        "MfccExtractor on corpus voices == dense + dct2 reference, bit for bit",
+        voice_case,
+        |&(kind, len, seed)| {
+            let (clip, sr) = voice_clip(kind, len, seed);
+            let got = MfccExtractor::paper_default(sr).extract(&clip);
+            let want = reference_mfcc::mfcc_paper_default(&clip, sr);
+            if let Some(diff) = reference_mfcc::first_bit_difference(&got, &want) {
+                return Err(format!(
+                    "{} clip of {len} samples: {diff}",
+                    VOICE_KINDS[kind % VOICE_KINDS.len()]
+                ));
+            }
+            Ok(())
+        },
+    );
+}
+
+/// `AudioMiner::analyze_shots` over every shot of the Tiny corpus against
+/// the reference chain assembled by hand: from-scratch clip features, the
+/// same GMM, and the dense-filterbank `dct2` MFCCs. Representative clips,
+/// speech flags, every MFCC bit and every ΔBIC must agree.
+#[test]
+fn analyze_shots_on_the_tiny_corpus_matches_the_reference_chain() {
+    let mut rng = StdRng::seed_from_u64(2003);
+    let (sp, ns) = speech_training_clips(SR, 2.0, 24, &mut rng);
+    let classifier = SpeechClassifier::train(&sp, &ns, SR, 2, &mut rng).expect("trains");
+    let miner = AudioMiner::new(classifier.clone(), BicConfig::default());
+    let mut speech_shots = 0;
+    for video in standard_corpus(CorpusScale::Tiny, 2003) {
+        let cuts = video
+            .truth
+            .as_ref()
+            .expect("synthetic truth")
+            .shot_cuts
+            .clone();
+        let shots = medvid_structure::shot::build_shots(&video.frames, &cuts);
+        let got = miner.analyze_shots(&video, &shots);
+        let mut want_mfcc = Vec::with_capacity(shots.len());
+        for (shot, audio) in shots.iter().zip(&got) {
+            let (s0, s1) = video.frame_range_to_samples(shot.start_frame, shot.end_frame);
+            let best = shot_clips(&video.audio, s0, s1)
+                .into_iter()
+                .filter_map(|c| {
+                    let f = reference_clip_features(video.audio.clip_samples(c), SR)?;
+                    Some((c, classifier.classify_features(&f).1))
+                })
+                .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite score"));
+            let here = format!("video {} shot {}", video.id, shot.id);
+            assert_eq!(audio.representative_clip, best.map(|b| b.0), "{here}");
+            assert_eq!(audio.is_speech, best.is_some_and(|b| b.1 > 0.0), "{here}");
+            let mfcc = best.map_or_else(Vec::new, |(clip, _)| {
+                voiced_frames(&reference_mfcc::mfcc_paper_default(
+                    video.audio.clip_samples(clip),
+                    SR,
+                ))
+            });
+            if let Some(diff) = reference_mfcc::first_bit_difference(&audio.mfcc, &mfcc) {
+                panic!("{here}: {diff}");
+            }
+            speech_shots += usize::from(audio.is_speech);
+            want_mfcc.push(mfcc);
+        }
+        for i in 0..shots.len() {
+            for j in i + 1..shots.len() {
+                let Some(got_bic) = miner.speaker_change(&got[i], &got[j]) else {
+                    continue;
+                };
+                let want_bic =
+                    bic_speaker_change(&want_mfcc[i], &want_mfcc[j], &BicConfig::default())
+                        .expect("the miner's test ran on the same frames");
+                assert_eq!(
+                    got_bic.delta_bic.to_bits(),
+                    want_bic.delta_bic.to_bits(),
+                    "video {} shots {i}/{j}",
+                    video.id
+                );
+            }
+        }
+    }
+    assert!(speech_shots > 0, "the Tiny corpus carries speech");
 }

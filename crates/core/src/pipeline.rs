@@ -251,6 +251,27 @@ mod tests {
     }
 
     #[test]
+    fn audio_sub_stages_reconcile_with_audio_bic() {
+        use medvid_obs::Stage;
+        let corpus = standard_corpus(CorpusScale::Tiny, 35);
+        let miner = ClassMiner::new(ClassMinerConfig::default(), 35).unwrap();
+        // One thread: every sub-stage span nests inside its `audio_bic`
+        // span on the same thread, so the two clocks measure the same work.
+        let (_, _, report) = medvid_par::with_threads(1, || miner.index_corpus_report(&corpus));
+        let totals = &report.totals;
+        let audio = totals.stage_total_secs(Stage::AudioBic);
+        let subs = [Stage::AudioClipScore, Stage::AudioMfcc, Stage::AudioBicTest];
+        for stage in subs {
+            assert!(totals.stage_total_secs(stage) > 0.0, "{stage} never ran");
+        }
+        let sum: f64 = subs.iter().map(|&s| totals.stage_total_secs(s)).sum();
+        assert!(
+            sum <= audio && sum >= 0.95 * audio,
+            "audio sub-stages sum to {sum:.4} s of audio_bic's {audio:.4} s"
+        );
+    }
+
+    #[test]
     fn skims_available_from_mined_video() {
         let corpus = standard_corpus(CorpusScale::Tiny, 32);
         let miner = ClassMiner::new(ClassMinerConfig::default(), 32).unwrap();

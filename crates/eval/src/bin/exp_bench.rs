@@ -13,10 +13,12 @@
 //! scatter-gather tier and durable ingest are measured from the client's
 //! side by the `perfbench` harness.
 //!
-//! Writes two artefacts: the standard experiment envelope under
-//! `target/experiments/bench_pipeline.json`, and the benchmark-trajectory
-//! snapshot `BENCH_pipeline.json` at the repository root. `--smoke` shrinks
-//! the corpus and the thread set so the tier-1 gate can run it in seconds.
+//! Writes the standard experiment envelope under
+//! `target/experiments/bench_pipeline.json` and, on a full run, the
+//! benchmark-trajectory snapshot `BENCH_pipeline.json` at the repository
+//! root. `--smoke` shrinks the corpus so the tier-1 gate can run it in
+//! seconds, and leaves the root snapshot alone: a Tiny-corpus run is a
+//! check, not a trajectory point.
 
 use medvid::{ClassMiner, ClassMinerConfig, MinedVideo};
 use medvid_cluster::{ClusterTopology, Coordinator, CoordinatorConfig};
@@ -710,9 +712,11 @@ fn main() {
         kernel,
     };
     // The benchmark trajectory lives at the repository root so successive
-    // PRs can diff it; the manifest dir anchors the path regardless of cwd.
+    // changes can diff it; the manifest dir anchors the path regardless of
+    // cwd. Only full runs record it.
     let root_artifact = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pipeline.json");
     match serde_json::to_string_pretty(&bench) {
+        Ok(_) if smoke => println!("[smoke] {root_artifact} left unchanged"),
         Ok(json) => {
             if let Err(e) = std::fs::write(root_artifact, json + "\n") {
                 eprintln!("warning: cannot write {root_artifact}: {e}");

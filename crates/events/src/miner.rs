@@ -91,7 +91,8 @@ impl EventMiner {
     }
 
     /// Like [`Self::mine_with_cues`], timing the speaker-change matrices
-    /// under the `audio_bic` stage and the evidence assembly plus rule
+    /// under the `audio_bic` stage (and its `audio_bic_test` sub-stage)
+    /// and the evidence assembly plus rule
     /// evaluation under `event_rules`, and counting BIC tests run/accepted.
     pub fn mine_with_cues_observed(
         &self,
@@ -127,6 +128,7 @@ impl EventMiner {
                 let mut matrix = vec![vec![None; n]; n];
                 {
                     let _bic_span = rec.span(Stage::AudioBic);
+                    let _test_span = rec.span(Stage::AudioBicTest);
                     for i in 0..n {
                         for j in i + 1..n {
                             let verdict = self

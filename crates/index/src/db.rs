@@ -898,15 +898,18 @@ impl VideoDatabase {
     /// only decides how much work finding them costs. The verdict lands in
     /// `planner_path` / `planner_estimated_comparisons`.
     ///
-    /// # Panics
-    /// Panics if [`Self::build`] has not been called since the last insert.
+    /// A database that has not been built since its last insert has no
+    /// cost model to plan with: it answers through the exact
+    /// [`Self::flat_search`] (`planner_path` stays `Unplanned`).
     pub fn planned_search(
         &self,
         query: &[f32],
         top_k: usize,
         user: Option<&UserContext>,
     ) -> (Vec<QueryResult>, RetrievalStats) {
-        assert!(self.built, "call build() before planned_search()");
+        if !self.built {
+            return self.flat_search(query, top_k, user);
+        }
         let mut stats = RetrievalStats::default();
         let Some(model) = self.cost_model else {
             // Empty database: nothing to plan over.
@@ -1028,15 +1031,20 @@ impl VideoDatabase {
     /// the hierarchy by nearest multi-centre, probes the chosen scene node's
     /// hash index and ranks only the shots that reside there.
     ///
-    /// # Panics
-    /// Panics if [`Self::build`] has not been called since the last insert.
+    /// A database that has not been built since its last insert has no
+    /// hierarchy to route through: it answers through the exact
+    /// [`Self::flat_search`] instead (empty on an empty database), so a
+    /// server over a fresh store answers its first queries rather than
+    /// failing them.
     pub fn hierarchical_search(
         &self,
         query: &[f32],
         top_k: usize,
         user: Option<&UserContext>,
     ) -> (Vec<QueryResult>, RetrievalStats) {
-        assert!(self.built, "call build() before hierarchical_search()");
+        if !self.built {
+            return self.flat_search(query, top_k, user);
+        }
         let mut stats = RetrievalStats::default();
         // Route: root -> cluster -> ... -> scene node.
         let mut current = self.hierarchy.root();
@@ -1322,20 +1330,29 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "build()")]
-    fn hierarchical_search_requires_build() {
+    fn unbuilt_database_answers_by_flat_scan() {
         let mut db = VideoDatabase::medical();
+        assert!(db.hierarchical_search(&[0.0; 266], 3, None).0.is_empty());
+        assert!(db.planned_search(&[0.0; 266], 3, None).0.is_empty());
         let scenes = db.hierarchy().scene_nodes();
-        db.insert_shot(
-            ShotRef {
-                video: VideoId(0),
-                shot: ShotId(0),
-            },
-            vec![0.0; 266],
-            EventKind::Dialog,
-            scenes[0],
-        );
-        db.hierarchical_search(&[0.0; 266], 1, None);
+        for i in 0..4usize {
+            db.insert_shot(
+                ShotRef {
+                    video: VideoId(0),
+                    shot: ShotId(i),
+                },
+                vec![i as f32; 266],
+                EventKind::Dialog,
+                scenes[0],
+            );
+        }
+        assert!(!db.is_built());
+        let q = [1.2f32; 266];
+        let flat = db.flat_search(&q, 2, None);
+        assert_eq!(flat.0.len(), 2);
+        assert_eq!(flat.0[0].shot.shot, ShotId(1));
+        assert_eq!(db.hierarchical_search(&q, 2, None), flat);
+        assert_eq!(db.planned_search(&q, 2, None), flat);
     }
 
     #[test]

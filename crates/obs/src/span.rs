@@ -18,8 +18,18 @@ pub enum Stage {
     /// Pairwise Cluster Scheme over scenes (Sec. 3.5).
     PcsCluster,
     /// Audio mining: clip selection, speech classification, BIC tests
-    /// (Sec. 4.2).
+    /// (Sec. 4.2). Its work is broken down by [`Stage::AudioClipScore`],
+    /// [`Stage::AudioMfcc`] and [`Stage::AudioBicTest`].
     AudioBic,
+    /// Inside [`Stage::AudioBic`]: cutting a shot's clips, extracting each
+    /// clip's 14 features and scoring it with the speech GMM.
+    AudioClipScore,
+    /// Inside [`Stage::AudioBic`]: MFCCs (and voiced frames) of a shot's
+    /// representative clip.
+    AudioMfcc,
+    /// Inside [`Stage::AudioBic`]: one scene's BIC speaker-change tests
+    /// between its speech shots.
+    AudioBicTest,
     /// Visual-cue extraction from representative frames (Secs. 4.1, 4.3).
     VisualCues,
     /// Event decision rules over scene evidence (Sec. 4.3).
@@ -47,12 +57,15 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in pipeline order.
-    pub const ALL: [Stage; 14] = [
+    pub const ALL: [Stage; 17] = [
         Stage::ShotDetect,
         Stage::GroupMine,
         Stage::SceneMerge,
         Stage::PcsCluster,
         Stage::AudioBic,
+        Stage::AudioClipScore,
+        Stage::AudioMfcc,
+        Stage::AudioBicTest,
         Stage::VisualCues,
         Stage::EventRules,
         Stage::IndexBuild,
@@ -72,6 +85,9 @@ impl Stage {
             Stage::SceneMerge => "scene_merge",
             Stage::PcsCluster => "pcs_cluster",
             Stage::AudioBic => "audio_bic",
+            Stage::AudioClipScore => "audio_clip_score",
+            Stage::AudioMfcc => "audio_mfcc",
+            Stage::AudioBicTest => "audio_bic_test",
             Stage::VisualCues => "visual_cues",
             Stage::EventRules => "event_rules",
             Stage::IndexBuild => "index_build",

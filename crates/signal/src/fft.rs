@@ -237,20 +237,24 @@ impl FftPlan {
                 buf.swap(i, j);
             }
         }
+        // Each block of `len` splits into its low and high halves, zipped
+        // with the stage's twiddles: no index arithmetic and no bounds checks
+        // in the butterfly, so the optimiser can vectorise it. The per-element
+        // arithmetic is exactly `fft_in_place`'s (no reassociation, and Rust
+        // never contracts to FMA), so the output stays bit-identical.
         let mut len = 2;
         let mut offset = 0;
         while len <= n {
             let half = len / 2;
             let stage = &self.twiddles[offset..offset + half];
-            let mut i = 0;
-            while i < n {
-                for (k, &w) in stage.iter().enumerate() {
-                    let u = buf[i + k];
-                    let v = buf[i + k + half] * w;
-                    buf[i + k] = u + v;
-                    buf[i + k + half] = u - v;
+            for block in buf.chunks_exact_mut(len) {
+                let (lo, hi) = block.split_at_mut(half);
+                for ((a, b), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(stage) {
+                    let u = *a;
+                    let v = *b * w;
+                    *a = u + v;
+                    *b = u - v;
                 }
-                i += len;
             }
             offset += half;
             len <<= 1;

@@ -7,9 +7,9 @@
 //! coefficients (including C0, which carries loudness and helps the BIC test
 //! separate speakers with different levels).
 
-use crate::dct::dct2;
 use crate::fft::FftPlan;
 use crate::window::{apply_window_into, hamming};
+use std::f64::consts::PI;
 
 /// Number of MFCC coefficients the paper uses.
 pub const MFCC_DIMS: usize = 14;
@@ -30,10 +30,17 @@ pub fn mel_to_hz(mel: f64) -> f64 {
 }
 
 /// A bank of triangular mel-spaced filters over a one-sided power spectrum.
+///
+/// Each triangle is stored over its nonzero span only, as `(first_bin,
+/// weights)`: a 26-filter bank over 129 bins touches about 10 bins per
+/// filter instead of 129. Summing a dense row adds `+0.0` products outside
+/// the span, which leave a sum of non-negative finite terms unchanged, so
+/// for any power spectrum the banded sum is bit-identical to the dense one.
 #[derive(Debug, Clone)]
 pub struct MelFilterbank {
-    /// `filters[m][k]` = weight of spectrum bin `k` in filter `m`.
-    filters: Vec<Vec<f64>>,
+    /// `(first, weights)`: `weights[i]` is the weight of spectrum bin
+    /// `first + i`; every bin outside the span weighs zero.
+    filters: Vec<(usize, Vec<f64>)>,
 }
 
 impl MelFilterbank {
@@ -58,22 +65,32 @@ impl MelFilterbank {
             })
             .collect();
         let bin_hz = nyquist / (spectrum_bins - 1) as f64;
-        let mut filters = Vec::with_capacity(n_filters);
-        for m in 0..n_filters {
-            let (lo, mid, hi) = (edges[m], edges[m + 1], edges[m + 2]);
-            let mut f = vec![0.0; spectrum_bins];
-            for (k, w) in f.iter_mut().enumerate() {
-                let hz = k as f64 * bin_hz;
-                if hz > lo && hz < mid {
-                    *w = (hz - lo) / (mid - lo);
-                } else if (hz - mid).abs() < f64::EPSILON {
-                    *w = 1.0;
-                } else if hz > mid && hz < hi {
-                    *w = (hi - hz) / (hi - mid);
-                }
-            }
-            filters.push(f);
-        }
+        let filters = edges
+            .windows(3)
+            .map(|e| {
+                let (lo, mid, hi) = (e[0], e[1], e[2]);
+                let weight = |k: usize| {
+                    let hz = k as f64 * bin_hz;
+                    if hz > lo && hz < mid {
+                        (hz - lo) / (mid - lo)
+                    } else if (hz - mid).abs() < f64::EPSILON {
+                        1.0
+                    } else if hz > mid && hz < hi {
+                        (hi - hz) / (hi - mid)
+                    } else {
+                        0.0
+                    }
+                };
+                let Some(first) = (0..spectrum_bins).find(|&k| weight(k) != 0.0) else {
+                    return (0, Vec::new());
+                };
+                let last = (first..spectrum_bins)
+                    .rev()
+                    .find(|&k| weight(k) != 0.0)
+                    .expect("the first nonzero bin is in range");
+                (first, (first..=last).map(weight).collect())
+            })
+            .collect();
         Self { filters }
     }
 
@@ -86,13 +103,18 @@ impl MelFilterbank {
 
     /// Applies the bank into a caller-owned buffer (cleared first), avoiding
     /// the per-window allocation of [`MelFilterbank::apply`] on hot paths.
+    ///
+    /// `power` must be non-negative (a power spectrum); bins past its end
+    /// count as zero.
     pub fn apply_into(&self, power: &[f64], out: &mut Vec<f64>) {
         out.clear();
-        out.extend(self.filters.iter().map(|f| {
-            f.iter()
-                .zip(power.iter())
-                .map(|(w, p)| w * p)
-                .sum::<f64>()
+        out.extend(self.filters.iter().map(|(first, weights)| {
+            let span = power.get(*first..).unwrap_or(&[]);
+            let mut acc = 0.0;
+            for (w, p) in weights.iter().zip(span) {
+                acc += w * p;
+            }
+            acc
         }));
     }
 
@@ -117,7 +139,43 @@ pub struct MfccExtractor {
     window: Vec<f64>,
     bank: MelFilterbank,
     plan: FftPlan,
-    n_coeffs: usize,
+    /// The kept rows of the orthonormal DCT-II over the log filter energies.
+    dct: Vec<DctRow>,
+}
+
+/// Row `k` of the orthonormal DCT-II of length `N`: `scale` is `s_k` and
+/// `cos[n]` is `cos(pi/N * (n + 1/2) * k)`, the same expressions
+/// [`crate::dct::dct2`] evaluates on every call. A frame's coefficient is
+/// `scale * sum_n x_n cos[n]`, summed in `dct2`'s order, so it matches
+/// `dct2` bit for bit without its `N * N` cosines per frame.
+#[derive(Debug, Clone)]
+struct DctRow {
+    scale: f64,
+    cos: Vec<f64>,
+}
+
+impl DctRow {
+    /// The first `n_coeffs` rows of the length-`n` transform.
+    fn table(n_coeffs: usize, n: usize) -> Vec<DctRow> {
+        let nf = n as f64;
+        (0..n_coeffs)
+            .map(|k| DctRow {
+                scale: if k == 0 {
+                    (1.0 / nf).sqrt()
+                } else {
+                    (2.0 / nf).sqrt()
+                },
+                cos: (0..n)
+                    .map(|i| (PI / nf * (i as f64 + 0.5) * k as f64).cos())
+                    .collect(),
+            })
+            .collect()
+    }
+
+    fn apply(&self, x: &[f64]) -> f64 {
+        let sum: f64 = x.iter().zip(&self.cos).map(|(&v, &c)| v * c).sum();
+        self.scale * sum
+    }
 }
 
 impl MfccExtractor {
@@ -152,7 +210,7 @@ impl MfccExtractor {
             window: hamming(frame_len),
             bank,
             plan: FftPlan::new(fft_len),
-            n_coeffs,
+            dct: DctRow::table(n_coeffs, n_filters),
         }
     }
 
@@ -207,9 +265,7 @@ impl MfccExtractor {
                         self.bank.apply_into(&power, &mut energies);
                         logs.clear();
                         logs.extend(energies.iter().map(|&e| (e + 1e-12).ln()));
-                        let mut c = dct2(&logs);
-                        c.truncate(self.n_coeffs);
-                        c
+                        self.dct.iter().map(|row| row.apply(&logs)).collect()
                     })
                     .collect()
             },

@@ -10,11 +10,14 @@ use medvid_signal::fft::{
 };
 use medvid_signal::kmeans::kmeans;
 use medvid_signal::matrix::Matrix;
-use medvid_signal::mel::MelFilterbank;
+use medvid_signal::mel::{MelFilterbank, MfccExtractor};
 use medvid_signal::window::{apply_window, apply_window_into, hamming, hann};
-use medvid_testkit::{forall, forall_with, require, Config, TkRng, CASES_ENV};
+use medvid_testkit::{domain, forall, forall_with, require, Config, TkRng, CASES_ENV};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+#[path = "reference/mfcc.rs"]
+mod reference_mfcc;
 
 /// The environment's configuration, running `cases` cases unless
 /// `MEDVID_TESTKIT_CASES` overrides the count.
@@ -463,6 +466,214 @@ fn spd_logdet_matches_cholesky() {
                 .map_err(|e| format!("d0={d0} d1={d1} c={c}: {e}"))?;
             let expected = (d0 * d1 - cov * cov).ln();
             require!((ld - expected).abs() < 1e-6, "{ld} vs {expected}");
+            Ok(())
+        },
+    );
+}
+
+/// The clip classes the audio chain meets; [`clip`] synthesises each.
+const CLIP_KINDS: [&str; 7] = [
+    "speech",
+    "ambient",
+    "music",
+    "silence",
+    "dc_offset",
+    "clipped",
+    "partials",
+];
+
+/// Voiced harmonic bursts at a syllable rate, with pauses between them.
+fn speech_like(rng: &mut TkRng, len: usize, sr: f64) -> Vec<f32> {
+    let f0 = rng.f64_in(90.0, 250.0);
+    let rate = rng.f64_in(3.0, 6.0);
+    let tau = std::f64::consts::TAU;
+    (0..len)
+        .map(|i| {
+            let t = i as f64 / sr;
+            let env = (tau * rate * t).sin().max(0.0).powi(2);
+            let f = f0 * (1.0 + 0.03 * (tau * 0.7 * t).sin());
+            let voiced: f64 = (1..=8)
+                .map(|h| (tau * h as f64 * f * t).sin() / h as f64)
+                .sum();
+            (0.4 * env * voiced + 0.01 * rng.f64_in(-1.0, 1.0)) as f32
+        })
+        .collect()
+}
+
+/// A `len`-sample clip of class `CLIP_KINDS[kind]`, drawn from `seed`.
+fn clip(kind: usize, len: usize, seed: u64, sample_rate: u32) -> Vec<f32> {
+    let mut rng = TkRng::new(seed);
+    let sr = sample_rate as f64;
+    let tau = std::f64::consts::TAU;
+    match CLIP_KINDS[kind % CLIP_KINDS.len()] {
+        "speech" => speech_like(&mut rng, len, sr),
+        "ambient" => {
+            // Low-passed noise under a mains hum.
+            let mut y = 0.0f64;
+            (0..len)
+                .map(|i| {
+                    y = 0.9 * y + 0.1 * rng.f64_in(-1.0, 1.0);
+                    (2.0 * y + 0.05 * (tau * 50.0 * i as f64 / sr).sin()) as f32
+                })
+                .collect()
+        }
+        "music" => {
+            let root = rng.f64_in(110.0, 440.0);
+            (0..len)
+                .map(|i| {
+                    let t = i as f64 / sr;
+                    [1.0, 1.26, 1.5]
+                        .iter()
+                        .map(|r| 0.25 * (tau * root * r * t).sin())
+                        .sum::<f64>() as f32
+                })
+                .collect()
+        }
+        "silence" => vec![0.0; len],
+        "dc_offset" => speech_like(&mut rng, len, sr)
+            .iter()
+            .map(|s| s + 0.4)
+            .collect(),
+        "clipped" => speech_like(&mut rng, len, sr)
+            .iter()
+            .map(|s| (s * 8.0).clamp(-1.0, 1.0))
+            .collect(),
+        _ => domain::audio_buffer(&mut rng, len, sample_rate),
+    }
+}
+
+/// A clip length up to 4 s, often below or near one analysis frame.
+fn clip_len(rng: &mut TkRng, sample_rate: u32) -> usize {
+    let frame = (0.030 * sample_rate as f64).round() as usize;
+    if rng.bool_p(0.25) {
+        rng.usize_in(0, 2 * frame)
+    } else {
+        rng.usize_in(0, 4 * sample_rate as usize)
+    }
+}
+
+const SAMPLE_RATES: [u32; 3] = [8000, 11025, 16000];
+
+#[test]
+fn mfcc_is_bit_identical_to_the_dense_dct_reference() {
+    forall_with(
+        &config(32),
+        "MfccExtractor::paper_default == dense filterbank + per-frame dct2, bit for bit",
+        |rng| {
+            let sr_index = if rng.bool_p(0.5) {
+                0
+            } else {
+                rng.usize_in(0, 2)
+            };
+            let len = clip_len(rng, SAMPLE_RATES[sr_index]);
+            (
+                rng.usize_in(0, CLIP_KINDS.len() - 1),
+                len,
+                rng.next_u64(),
+                sr_index,
+            )
+        },
+        |&(kind, len, seed, sr_index)| {
+            let sr = SAMPLE_RATES[sr_index % SAMPLE_RATES.len()];
+            let signal = clip(kind, len, seed, sr);
+            let got = MfccExtractor::paper_default(sr).extract(&signal);
+            let want = reference_mfcc::mfcc_paper_default(&signal, sr);
+            if let Some(diff) = reference_mfcc::first_bit_difference(&got, &want) {
+                return Err(format!(
+                    "{} clip of {len} samples at {sr} Hz: {diff}",
+                    CLIP_KINDS[kind % CLIP_KINDS.len()]
+                ));
+            }
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn mfcc_custom_shapes_are_bit_identical() {
+    // (window s, hop s) pairs: the paper's, a short one and a long one
+    // whose FFT is 1024 points at 16 kHz.
+    const FRAMINGS: [(f64, f64); 3] = [(0.030, 0.010), (0.016, 0.008), (0.064, 0.020)];
+    forall_with(
+        &config(32),
+        "MfccExtractor::new(any shape) == dense reference, bit for bit",
+        |rng| {
+            let n_filters = rng.usize_in(1, 40);
+            let n_coeffs = if rng.bool_p(0.5) {
+                n_filters
+            } else {
+                rng.usize_in(1, n_filters)
+            };
+            let shape = (n_filters, n_coeffs, rng.usize_in(0, 8));
+            let sr = SAMPLE_RATES[shape.2 % 3];
+            let len = rng.usize_in(0, sr as usize);
+            (
+                shape,
+                (rng.usize_in(0, CLIP_KINDS.len() - 1), len, rng.next_u64()),
+            )
+        },
+        |&((n_filters, n_coeffs, shape), (kind, len, seed))| {
+            if n_filters == 0 || n_coeffs > n_filters {
+                return Ok(()); // a shrunk candidate left the domain
+            }
+            let sr = SAMPLE_RATES[shape % 3];
+            let (window, hop) = FRAMINGS[(shape / 3) % 3];
+            let signal = clip(kind, len, seed, sr);
+            let got = MfccExtractor::new(sr, window, hop, n_filters, n_coeffs).extract(&signal);
+            let want = reference_mfcc::mfcc(&signal, sr, window, hop, n_filters, n_coeffs);
+            if let Some(diff) = reference_mfcc::first_bit_difference(&got, &want) {
+                return Err(format!(
+                    "{n_coeffs} of {n_filters} filters, {window} s / {hop} s at {sr} Hz, \
+                     {} clip of {len} samples: {diff}",
+                    CLIP_KINDS[kind % CLIP_KINDS.len()]
+                ));
+            }
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn banded_filterbank_is_bit_identical_to_dense_rows() {
+    forall_with(
+        &config(64),
+        "MelFilterbank (nonzero spans) == dense rows, bit for bit, on power spectra",
+        |rng| {
+            // Up to 64 filters over as few as 9 bins: narrow low-frequency
+            // triangles there can miss every bin and leave an empty span.
+            let n_filters = rng.usize_in(1, 64);
+            let bins = rng.usize_in(9, 513);
+            (n_filters, bins, rng.usize_in(0, 2), rng.next_u64())
+        },
+        |&(n_filters, bins, sr_index, seed)| {
+            if n_filters == 0 || bins < 2 {
+                return Ok(()); // a shrunk candidate left the domain
+            }
+            let sr = SAMPLE_RATES[sr_index % 3];
+            let mut rng = TkRng::new(seed);
+            // Non-negative, with exact zeros and a wide dynamic range.
+            let power: Vec<f64> = (0..bins)
+                .map(|_| match rng.usize_in(0, 3) {
+                    0 => 0.0,
+                    1 => rng.f64_in(0.0, 1e-9),
+                    _ => rng.f64_in(0.0, 1e4),
+                })
+                .collect();
+            let got = MelFilterbank::new(n_filters, bins, sr).apply(&power);
+            let rows = reference_mfcc::dense_filterbank(n_filters, bins, sr);
+            let want = reference_mfcc::apply_dense(&rows, &power);
+            for (m, (g, w)) in got.iter().zip(&want).enumerate() {
+                require!(
+                    g.to_bits() == w.to_bits(),
+                    "filter {m} of {n_filters} over {bins} bins at {sr} Hz: {g:e} vs dense {w:e}"
+                );
+            }
+            require!(
+                got.len() == want.len(),
+                "{} filters vs {}",
+                got.len(),
+                want.len()
+            );
             Ok(())
         },
     );

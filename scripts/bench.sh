@@ -3,7 +3,8 @@
 # BENCH_pipeline.json at the repository root.
 #
 # Usage: scripts/bench.sh [--smoke]
-#   --smoke   tiny corpus, same thread ladder (seconds, used by check.sh)
+#   --smoke   tiny corpus, same thread ladder (seconds, used by check.sh);
+#             prints the report without rewriting BENCH_pipeline.json
 #
 # Thread budgets beyond the measured set can be probed ad hoc with e.g.
 #   MEDVID_THREADS=8 cargo run --release -p medvid-eval --bin exp_bench

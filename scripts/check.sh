@@ -109,8 +109,8 @@ echo "== cargo clippy --workspace -- -D warnings =="
 cargo clippy --workspace -- -D warnings
 
 # Smoke-size run of the throughput benchmark: exercises the parallel engine
-# end-to-end (including its cross-thread determinism assertion) and refreshes
-# BENCH_pipeline.json.
+# end-to-end (including its cross-thread determinism assertion). It prints
+# its report and leaves the committed BENCH_pipeline.json alone.
 echo "== scripts/bench.sh --smoke =="
 scripts/bench.sh --smoke
 

@@ -284,6 +284,37 @@ fn persistent_connection_round_trip_has_no_delayed_ack_stall() {
 }
 
 #[test]
+fn unbuilt_database_answers_default_queries_and_keeps_its_workers() {
+    // A fresh store serves a database that has never been built. Default
+    // queries against it must be answered, not kill the worker that runs
+    // them: with 2 workers, 5 such queries would otherwise leave none.
+    let config = ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    };
+    let handle = spawn_server(VideoDatabase::medical(), config);
+    let mut client = connect(&handle);
+    for i in 0..5 {
+        // Distinct vectors, so every query reaches a worker (no cache hit).
+        let response = client
+            .query(QueryRequest {
+                vector: Some(vec![i as f32; 266]),
+                limit: Some(3),
+                ..QueryRequest::default()
+            })
+            .expect("query round-trip");
+        let Response::Results { hits, .. } = response else {
+            panic!("query {i} on an unbuilt database: got {response:?}");
+        };
+        assert!(hits.is_empty(), "query {i}: hits from an empty database");
+    }
+    let stats = client.stats().expect("stats round-trip");
+    assert!(matches!(stats, Response::Stats { .. }), "got {stats:?}");
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
 fn shutdown_request_drains_the_server() {
     let db = build_db(404);
     let handle = spawn_server(db, ServerConfig::default());
